@@ -9,16 +9,21 @@ an entire grid of points as NumPy array operations:
 * :mod:`repro.batch.substrate` hoists everything that does not depend on
   the design point — per-MAC scalars, wire parameters, and full estimates
   of the point-independent blocks — into a :class:`TechSubstrate`;
-* :mod:`repro.batch.kernels` are array-valued transcriptions of the
-  dominant cost contributors (MAC array, SRAM/regfile, DFF banks,
-  wire/NoC) returning vectors of ``(area_mm2, power_w, timing_ns)``;
+* :mod:`repro.batch.kernels` assemble the architecture-level components
+  (tensor/vector units, VReg, LSU, on-chip memory, CDB, NoC, chip) over
+  the grid from the same broadcastable circuit functions the scalar
+  models call (``repro.circuit``, ``repro.tech.wire``, including the SRAM
+  bank x port lattice search), returning vectors of ``(area_mm2,
+  power_w, timing_ns)``;
 * :mod:`repro.batch.estimator` canonicalizes a sweep into swept axes plus
   shared context, runs the kernels, screens the batched arrays through the
   integrity contracts, and materializes per-point
   :class:`~repro.dse.journal.SummaryResult` rows.
 
-Equivalence with the scalar walk (<= 1e-9 relative) is enforced by
-``tests/batch/`` over the full Table I grid.
+The circuit closed forms exist once, so the two paths agree on them by
+construction; ``tests/batch/`` checks the architecture-level assembly
+against the scalar walk over the full Table I grid (exactly, and within
+1e-9 relative at the default context).
 """
 
 from repro.batch.estimator import (

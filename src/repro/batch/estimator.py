@@ -30,20 +30,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.arch.component import ModelContext
 from repro.batch.substrate import FAMILY_BUILDERS, substrate_for
 from repro.cache import get_estimate_cache, stable_hash
 from repro.config.presets import datacenter_context
 from repro.dse.journal import SummaryOutcome, SummaryResult
 from repro.dse.space import DesignPoint
-from repro.errors import ConfigurationError, NumericalError
-
-try:  # NumPy is the whole point of this package; degrade loudly without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
+from repro.errors import NumericalError
 
 #: Grid fields screened before any point is materialized.
 _SCREENED_FIELDS = ("area_mm2", "tdp_w", "peak_tops", "timing_ns")
@@ -89,8 +84,6 @@ def classify_point(
     single coefficient — disqualifies the vector path rather than
     silently mis-modeling the point.
     """
-    if not HAVE_NUMPY:
-        return None, None
     try:
         built = point.build().config
     except Exception as error:
@@ -197,11 +190,6 @@ class BatchEstimator:
         strict_screen: bool = False,
         use_cache: bool = True,
     ) -> None:
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "the vector estimation backend requires NumPy; "
-                "use backend='scalar'"
-            )
         self.ctx = ctx if ctx is not None else datacenter_context()
         self.strict_screen = strict_screen
         self.use_cache = use_cache
@@ -331,15 +319,15 @@ class BatchEstimator:
 
         axes = GridAxes.from_points([resolved[i] for i in misses])
         sub = substrate_for(self.ctx, family)
-        x = _np.asarray(axes.x, dtype=float)
-        n = _np.asarray(axes.n, dtype=float)
-        tx = _np.asarray(axes.tx, dtype=float)
-        ty = _np.asarray(axes.ty, dtype=float)
+        x = np.asarray(axes.x, dtype=float)
+        n = np.asarray(axes.n, dtype=float)
+        tx = np.asarray(axes.tx, dtype=float)
+        ty = np.asarray(axes.ty, dtype=float)
         grid = estimate_grid(sub, x, n, tx, ty)
-        feasible = _np.asarray(grid["feasible"], dtype=bool)
+        feasible = np.asarray(grid["feasible"], dtype=bool)
         clean = self._screen(grid, feasible)
         outcomes = []
-        if specs and bool(_np.any(feasible & clean)):
+        if specs and bool(np.any(feasible & clean)):
             outcomes = simulate_workloads(
                 sub,
                 grid,
@@ -387,7 +375,7 @@ class BatchEstimator:
 
     # -- screens ------------------------------------------------------------
 
-    def _screen(self, grid: dict, feasible: "_np.ndarray") -> "_np.ndarray":
+    def _screen(self, grid: dict, feasible: "np.ndarray") -> "np.ndarray":
         """Vectorized NaN/inf/range screen over the batched outputs.
 
         Mirrors :func:`repro.integrity.contracts.screen_value`: every
@@ -396,10 +384,10 @@ class BatchEstimator:
         Infeasible points are exempt — they are NaN-poisoned by design
         and routed to the scalar path for the authentic model error.
         """
-        clean = _np.ones(feasible.shape, dtype=bool)
+        clean = np.ones(feasible.shape, dtype=bool)
         for name in _SCREENED_FIELDS:
-            values = _np.asarray(grid[name], dtype=float)
-            ok = _np.isfinite(values)
+            values = np.asarray(grid[name], dtype=float)
+            ok = np.isfinite(values)
             if name in ("area_mm2", "tdp_w", "peak_tops"):
                 ok &= values > 0.0
             else:
@@ -409,15 +397,15 @@ class BatchEstimator:
         return clean
 
     def _screen_outcomes(
-        self, outcomes: list, feasible: "_np.ndarray"
-    ) -> "_np.ndarray":
+        self, outcomes: list, feasible: "np.ndarray"
+    ) -> "np.ndarray":
         """Screen the batched workload outcomes (``validate_result`` set).
 
         Achieved TOPS and latency must be finite and non-negative,
         utilization a fraction, runtime power strictly positive, batch
         at least one — per point, across every (regime, workload) row.
         """
-        clean = _np.ones(feasible.shape, dtype=bool)
+        clean = np.ones(feasible.shape, dtype=bool)
         for oc in outcomes:
             checks = (
                 ("achieved_tops", oc.achieved_tops, 0.0, None),
@@ -427,8 +415,8 @@ class BatchEstimator:
                 ("batch", oc.batch, 1.0, None),
             )
             for name, values, lo, hi in checks:
-                values = _np.asarray(values, dtype=float)
-                ok = _np.isfinite(values)
+                values = np.asarray(values, dtype=float)
+                ok = np.isfinite(values)
                 if name == "runtime_power_w":
                     ok &= values > 0.0
                 elif lo is not None:
@@ -442,10 +430,10 @@ class BatchEstimator:
         return clean
 
     def _raise_if_strict(
-        self, name: str, values: "_np.ndarray", bad: "_np.ndarray"
+        self, name: str, values: "np.ndarray", bad: "np.ndarray"
     ) -> None:
-        if self.strict_screen and bool(_np.any(bad)):
-            index = int(_np.argmax(bad))
+        if self.strict_screen and bool(np.any(bad)):
+            index = int(np.argmax(bad))
             raise NumericalError(
                 f"batch.{name}[{index}]",
                 float(values[index]),

@@ -1,23 +1,23 @@
-"""Array-valued transcriptions of the dominant cost contributors.
+"""Architecture-level rollups evaluated over whole design-point grids.
 
-Every function here mirrors, expression for expression, a closed form in
-the scalar model stack (``repro.circuit`` / ``repro.arch``) — the MAC
-array, the SRAM organization search, DFF banks and the clock tree, and
-the wire/NoC models — evaluated over *vectors* of design-point parameters
-``(X, N, T_x, T_y)`` against one fixed :class:`TechSubstrate`.
-
-The coefficient hooks consumed here (``sram.SUBARRAY_CONTROL_GATES``,
-``tensor_unit.FIFO_PLACEMENT_OVERHEAD``, ...) are the *same* module-level
-constants the scalar models use, so a recalibration changes both paths at
-once; scalar/vector equivalence over the full Table I grid is pinned by
-``tests/batch/``.
+Each kernel assembles one component of the scalar model stack
+(``repro.arch``) — tensor unit, vector unit, register file, LSU, on-chip
+memory, CDB, NoC, and the chip rollup — over *vectors* of design-point
+parameters ``(X, N, T_x, T_y)`` against one fixed :class:`TechSubstrate`.
+The circuit closed forms underneath (DFF banks, logic blocks, register
+files, wires, the SRAM organization physics and its bank x port lattice
+search) are not transcribed here: the kernels call the broadcastable
+functions in ``repro.circuit`` and ``repro.tech.wire`` that the scalar
+models call, so the two paths agree on them by construction.  What the
+kernels do transcribe is how ``repro.arch`` composes those pieces;
+scalar/vector equivalence of that assembly over the full Table I grid is
+pinned by ``tests/batch/``.
 
 All arrays are float64; integer inputs stay exact well below 2**53.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
 import numpy as np
@@ -29,311 +29,17 @@ from repro.arch import tensor_unit as tu_mod
 from repro.arch import vector_unit as vu_mod
 from repro.arch import vreg as vreg_mod
 from repro.batch.substrate import TechSubstrate
-from repro.circuit import dff as dff_mod
-from repro.circuit import gates as gates_mod
 from repro.circuit import regfile as regfile_mod
 from repro.circuit import sram as sram_mod
+from repro.circuit.dff import dff_active_energy_pj, dff_area_mm2, dff_leakage_w
+from repro.circuit.gates import (
+    logic_area_mm2,
+    logic_energy_pj,
+    logic_leakage_w,
+)
 from repro.tech import calibration
-from repro.units import (
-    MiB,
-    dynamic_power_w,
-    fj_to_pj,
-    mm2_to_um2,
-    nw_to_w,
-    ps_to_ns,
-    tops,
-    um2_to_mm2,
-    um_to_mm,
-)
-
-#: Bank counts enumerated by the scalar optimizer (1, 2, ..., MAX_BANKS).
-BANK_CHOICES = tuple(
-    2**k for k in range(int(math.log2(sram_mod.MAX_BANKS)) + 1)
-)
-
-
-# -- circuit primitives, vectorized -----------------------------------------
-
-
-def _dff_active_pj(sub: TechSubstrate, bits, activity=dff_mod.DEFAULT_DATA_ACTIVITY):
-    """`DffBank.energy_per_active_cycle_pj` over an array of bit counts."""
-    clock = dff_mod.CLOCK_ENERGY_FRACTION
-    per_bit_fj = sub.tech.dff_energy_fj * (clock + (1.0 - clock) * activity)
-    return fj_to_pj(bits * per_bit_fj)
-
-
-def _dff_leak_w(sub: TechSubstrate, bits):
-    return nw_to_w(bits * sub.tech.dff_leak_nw)
-
-
-def _dff_area_mm2(sub: TechSubstrate, bits):
-    return um2_to_mm2(bits * sub.tech.dff_area_um2)
-
-
-def _logic_energy_pj(sub: TechSubstrate, gates, activity=gates_mod.DEFAULT_ACTIVITY):
-    """`LogicBlock.energy_per_cycle_pj` over an array of gate counts."""
-    return fj_to_pj(gates * activity * sub.tech.gate_energy_fj)
-
-
-def _logic_area_mm2(sub: TechSubstrate, gates):
-    return um2_to_mm2(
-        gates * sub.tech.gate_area_um2 * gates_mod.ROUTING_OVERHEAD
-    )
-
-
-def _logic_leak_w(sub: TechSubstrate, gates):
-    return nw_to_w(gates * sub.tech.gate_leak_nw)
-
-
-def _ladder_delay_ns(r_ohm, c_ff, load_ff=0.0, driver_ohm=0.0):
-    """`rc.ladder_delay_ns` (pure arithmetic; broadcasts over arrays)."""
-    delay_ohm_ff = driver_ohm * (c_ff + load_ff) + (
-        r_ohm * (c_ff / 2.0 + load_ff)
-    )
-    return delay_ohm_ff * 1e-6  # OHM_FF_TO_NS
-
-
-def _wire_energy_pj_per_bit(sub: TechSubstrate, wire, length_mm):
-    energy_fj = 1.3 * wire.c_ff_per_mm * length_mm * sub.tech.vdd_v**2
-    return fj_to_pj(energy_fj)
-
-
-def _repeated_wire_delay_ns(sub: TechSubstrate, wire, length_mm):
-    """`wire.repeated_wire_delay_ns` over an array of lengths."""
-    t_buf_ns = ps_to_ns(2.0 * sub.tech.fo4_ps)
-    rc = wire.rc_ns_per_mm2
-    optimal_segment_mm = math.sqrt(2.0 * t_buf_ns / rc)
-    linear = math.sqrt(2.0 * t_buf_ns * rc) * length_mm
-    short = np.minimum(
-        0.5 * rc * length_mm**2 + np.where(length_mm > 0, t_buf_ns, 0.0),
-        linear + t_buf_ns,
-    )
-    return np.where(length_mm <= optimal_segment_mm, short, linear)
-
-
-def _decoder_gates(rows):
-    """`gates.decoder_gate_count(_log2_int(rows))` over an array of rows."""
-    bits = np.maximum(1.0, np.ceil(np.log2(np.maximum(rows, 2))))
-    return 4.0 * bits + 2.0 * 2.0**bits
-
-
-def _log2_int_arr(rows):
-    return np.maximum(1.0, np.ceil(np.log2(np.maximum(rows, 2))))
-
-
-# -- SRAM organization search, vectorized ------------------------------------
-
-
-def sram_search_kernel(
-    sub: TechSubstrate,
-    capacity_bytes,
-    block_bytes,
-    read_bw_target,
-    write_bw_target,
-    latency_bound_ns: float,
-) -> Dict[str, np.ndarray]:
-    """Vectorized `optimize_sram` plus the chosen organization's physics.
-
-    Walks the exact candidate lattice of `sram.candidate_organizations`
-    (banks outer, then read ports, write ports, subarray rows), keeping a
-    masked running minimum of ``(area, read_energy)`` per design point with
-    strict first-wins tie-breaking, then recomputes every physical quantity
-    for the winning organization with array-valued parameters.
-
-    Returns per-point arrays plus a ``feasible`` mask; infeasible points
-    (the scalar path raises ``OptimizationError``) carry NaNs.
-    """
-    capacity = np.asarray(capacity_bytes, dtype=np.float64)
-    block = np.asarray(block_bytes, dtype=np.float64)
-    shape = np.broadcast(capacity, block).shape
-
-    cols = np.minimum(np.maximum(block * 8, 32), sram_mod.MAX_SUBARRAY_COLS)
-    activated = np.maximum(1.0, np.ceil(block * 8 / cols))
-    capacity_mib = capacity / MiB
-    routing = np.where(
-        capacity_mib <= 1.0,
-        1.0,
-        1.0
-        + calibration.SRAM_CAPACITY_ROUTING_COEF * np.log2(capacity_mib),
-    )
-
-    best_area = np.full(shape, np.inf)
-    best_read_e = np.full(shape, np.inf)
-    best_banks = np.zeros(shape)
-    best_rp = np.zeros(shape)
-    best_wp = np.zeros(shape)
-    best_rows = np.zeros(shape)
-
-    for banks in BANK_CHOICES:
-        bankable = capacity >= banks * block
-        if not bankable.any():
-            continue
-        for read_ports in (1, 2, 4):
-            for write_ports in (1, 2):
-                for rows in sram_mod.SUBARRAY_ROW_CHOICES:
-                    org = _sram_org_quantities(
-                        sub, capacity, block, cols, activated, routing,
-                        banks, read_ports, write_ports, rows,
-                    )
-                    feasible = (
-                        bankable
-                        & (org["latency_ns"] <= latency_bound_ns)
-                        & (org["read_bw_gbps"] >= read_bw_target)
-                        & (org["write_bw_gbps"] >= write_bw_target)
-                    )
-                    better = feasible & (
-                        (org["area_mm2"] < best_area)
-                        | (
-                            (org["area_mm2"] == best_area)
-                            & (org["read_energy_pj"] < best_read_e)
-                        )
-                    )
-                    best_area = np.where(better, org["area_mm2"], best_area)
-                    best_read_e = np.where(
-                        better, org["read_energy_pj"], best_read_e
-                    )
-                    best_banks = np.where(better, banks, best_banks)
-                    best_rp = np.where(better, read_ports, best_rp)
-                    best_wp = np.where(better, write_ports, best_wp)
-                    best_rows = np.where(better, rows, best_rows)
-
-    feasible = best_banks > 0
-    safe = np.where(feasible, best_banks, 1.0)
-    chosen = _sram_org_quantities(
-        sub, capacity, block, cols, activated, routing,
-        safe,
-        np.where(feasible, best_rp, 1.0),
-        np.where(feasible, best_wp, 1.0),
-        np.where(feasible, best_rows, 64.0),
-    )
-    nan = np.where(feasible, 0.0, np.nan)
-    out = {key: value + nan for key, value in chosen.items()}
-    out["feasible"] = feasible
-    out["banks"] = np.where(feasible, best_banks, nan)
-    out["read_ports"] = np.where(feasible, best_rp, nan)
-    out["write_ports"] = np.where(feasible, best_wp, nan)
-    out["subarray_rows"] = np.where(feasible, best_rows, nan)
-    return out
-
-
-def _sram_org_quantities(
-    sub, capacity, block, cols, activated, routing, banks, rp, wp, rows
-):
-    """Physics of one `SramArray` organization with array parameters."""
-    tech = sub.tech
-    wire_local = sub.wire_local
-    ports = rp + wp
-
-    growth = 1.0 + sram_mod.PORT_PITCH_GROWTH * (ports - 1)
-    cell_area_um2 = tech.sram_cell_um2 * growth**2
-    cell_h = np.sqrt(cell_area_um2 / sram_mod.CELL_ASPECT)
-    cell_w = sram_mod.CELL_ASPECT * cell_h
-
-    bank_bits = (capacity * 8 / banks) * sram_mod.ECC_REDUNDANCY_FACTOR
-    subarrays = np.maximum(activated, np.ceil(bank_bits / (rows * cols)))
-    control_gates = _decoder_gates(rows) + sram_mod.SUBARRAY_CONTROL_GATES
-    subarea_um2 = (
-        rows * cols * cell_w * cell_h
-        + cols * cell_w * (18.0 * cell_h) * np.maximum(1, ports)
-        + rows * cell_h * (12.0 * cell_w)
-        + control_gates * tech.gate_area_um2
-    )
-    area_mm2 = um2_to_mm2(
-        banks
-        * (subarrays * subarea_um2)
-        * sram_mod.ARRAY_ROUTING_OVERHEAD
-        * routing
-    )
-    bank_area_mm2 = area_mm2 / banks
-
-    bits = block * 8
-    bl_len_mm = um_to_mm(rows * cell_h)
-    bitline_cap_ff = (
-        rows * tech.sram_cell_cap_ff + bl_len_mm * wire_local.c_ff_per_mm
-    )
-    wl_len_mm = um_to_mm(cols * cell_w)
-    wordline_cap_ff = (
-        cols * tech.gate_cap_ff * 0.5 + wl_len_mm * wire_local.c_ff_per_mm
-    )
-    wordline_pj = fj_to_pj(wordline_cap_ff * tech.vdd_v**2)
-    decode_pj = activated * _logic_energy_pj(sub, control_gates)
-    htree_pj = bits * _wire_energy_pj_per_bit(
-        sub, sub.wire_intermediate, 0.9 * np.sqrt(bank_area_mm2)
-    )
-    read_energy_pj = (
-        fj_to_pj(
-            bits
-            * bitline_cap_ff
-            * tech.vdd_v
-            * (sram_mod.READ_SWING * tech.vdd_v)
-        )
-        + fj_to_pj(
-            bits
-            * sram_mod.SENSE_ENERGY_FJ_45NM
-            * tech.gate_energy_fj
-            / sram_mod.SENSE_ANCHOR_GATE_ENERGY_FJ
-        )
-        + activated * wordline_pj
-        + decode_pj
-        + htree_pj
-    ) * calibration.SRAM_ACCESS_OVERHEAD
-    write_energy_pj = (
-        fj_to_pj(bits * bitline_cap_ff * tech.vdd_v**2)
-        + activated * wordline_pj
-        + decode_pj
-        + htree_pj
-    ) * calibration.SRAM_ACCESS_OVERHEAD
-
-    stored_bits = capacity * 8 * sram_mod.ECC_REDUNDANCY_FACTOR
-    port_growth = 1.0 + 0.5 * sram_mod.PORT_PITCH_GROWTH * (ports - 1)
-    cell_leak_w = nw_to_w(stored_bits * tech.sram_bit_leak_nw * port_growth)
-    periph_um2 = (
-        mm2_to_um2(area_mm2) - stored_bits * tech.sram_cell_um2 * port_growth
-    )
-    periph_leak_w = (
-        nw_to_w(
-            np.maximum(periph_um2, 0.0)
-            / tech.gate_area_um2
-            * tech.gate_leak_nw
-        )
-        / 3.0
-    )
-    leakage_w = cell_leak_w + periph_leak_w
-
-    decode_ns = ps_to_ns((2 + _log2_int_arr(rows)) * tech.fo4_ps)
-    wordline_ns = _ladder_delay_ns(
-        wl_len_mm * wire_local.r_ohm_per_mm,
-        wl_len_mm * wire_local.c_ff_per_mm + cols * tech.gate_cap_ff * 0.5,
-        driver_ohm=sram_mod.WORDLINE_DRIVER_OHM,
-    )
-    bitline_ns = (
-        _ladder_delay_ns(
-            bl_len_mm * wire_local.r_ohm_per_mm,
-            bitline_cap_ff,
-            driver_ohm=sram_mod.CELL_ON_RESISTANCE_OHM,
-        )
-        * sram_mod.READ_SWING
-    )
-    sense_ns = ps_to_ns(2.0 * tech.fo4_ps)
-    output_ns = _repeated_wire_delay_ns(
-        sub, sub.wire_intermediate, 0.5 * np.sqrt(bank_area_mm2)
-    )
-    latency_ns = decode_ns + wordline_ns + bitline_ns + sense_ns + output_ns
-
-    read_bw_gbps = banks * rp * block * sub.freq_ghz
-    write_bw_gbps = banks * wp * block * sub.freq_ghz
-    return {
-        "area_mm2": area_mm2,
-        "read_energy_pj": read_energy_pj,
-        "write_energy_pj": write_energy_pj,
-        "leakage_w": leakage_w,
-        "latency_ns": latency_ns,
-        "read_bw_gbps": read_bw_gbps,
-        "write_bw_gbps": write_bw_gbps,
-        "bank_read_slots": banks * rp,
-        "bank_write_slots": banks * wp,
-    }
-
+from repro.tech.wire import repeated_wire_delay_ns, wire_energy_pj_per_bit
+from repro.units import dynamic_power_w, ps_to_ns, tops, um2_to_mm2, um_to_mm
 
 # -- architecture kernels -----------------------------------------------------
 
@@ -367,8 +73,8 @@ def mac_array_kernel(sub: TechSubstrate, x) -> Dict[str, np.ndarray]:
 
     cell_energy_pj = (
         mac.energy_per_mac_pj
-        + _dff_active_pj(sub, pipeline_bits)
-        + _logic_energy_pj(sub, cell_cfg.control_gates, activity=0.2)
+        + dff_active_energy_pj(tech, pipeline_bits)
+        + logic_energy_pj(tech, cell_cfg.control_gates, 0.2)
     )
     floor = calibration.ARRAY_SPAN_ENERGY_FLOOR
     span_energy = floor + (1.0 - floor) * np.minimum(
@@ -376,8 +82,8 @@ def mac_array_kernel(sub: TechSubstrate, x) -> Dict[str, np.ndarray]:
     )
     cell_leak_w = (
         mac.leakage_w
-        + _dff_leak_w(sub, pipeline_bits)
-        + _logic_leak_w(sub, cell_cfg.control_gates)
+        + dff_leakage_w(tech, pipeline_bits)
+        + logic_leakage_w(tech, cell_cfg.control_gates)
     )
     array_area = macs * cell_area_mm2
     array_dyn = (
@@ -392,17 +98,19 @@ def mac_array_kernel(sub: TechSubstrate, x) -> Dict[str, np.ndarray]:
     lane_bits = x * in_bits + x * (in_bits + out_bits)
     fifo_bits = lane_bits * fifo_depth
     fifo_area = (
-        _dff_area_mm2(sub, fifo_bits) * tu_mod.FIFO_PLACEMENT_OVERHEAD
+        dff_area_mm2(tech, fifo_bits) * tu_mod.FIFO_PLACEMENT_OVERHEAD
     )
     fifo_dyn = (
-        dynamic_power_w(_dff_active_pj(sub, fifo_bits) * overhead, sub.freq_ghz)
+        dynamic_power_w(
+            dff_active_energy_pj(tech, fifo_bits) * overhead, sub.freq_ghz
+        )
         * calibration.TDP_ACTIVITY["compute"]
     )
-    fifo_leak = _dff_leak_w(sub, fifo_bits)
+    fifo_leak = dff_leakage_w(tech, fifo_bits)
 
     hops = macs * (in_bits + out_bits)
-    wire_energy_pj = hops * _wire_energy_pj_per_bit(
-        sub, sub.wire_local, pitch_mm
+    wire_energy_pj = hops * wire_energy_pj_per_bit(
+        tech, sub.wire_local, pitch_mm
     )
     track_mm2 = um_to_mm(sub.wire_local.pitch_um) * pitch_mm
     wire_area = macs * (in_bits + out_bits) * track_mm2
@@ -444,9 +152,8 @@ def vector_unit_kernel(sub: TechSubstrate, lanes) -> Dict[str, np.ndarray]:
 
     lane_energy_pj = (
         mac.energy_per_mac_pj * vu_mod.MAC_ENERGY_FRACTION
-        + _dff_active_pj(sub, lane_bits)
-        + _logic_energy_pj(
-            sub, vu_cfg.sfu_gates, activity=vu_mod.SFU_ACTIVITY
+        + dff_active_energy_pj(tech, lane_bits)
+        + logic_energy_pj(tech, vu_cfg.sfu_gates, vu_mod.SFU_ACTIVITY
         )
     )
     lane_um2 = (
@@ -466,8 +173,8 @@ def vector_unit_kernel(sub: TechSubstrate, lanes) -> Dict[str, np.ndarray]:
     )
     leak = lanes * (
         mac.leakage_w
-        + _dff_leak_w(sub, lane_bits)
-        + _logic_leak_w(sub, vu_cfg.sfu_gates)
+        + dff_leakage_w(tech, lane_bits)
+        + logic_leakage_w(tech, vu_cfg.sfu_gates)
     )
     cycle = mac.delay_ns + ps_to_ns(2.0 * tech.fo4_ps)
     return {
@@ -485,54 +192,29 @@ def regfile_kernel(sub: TechSubstrate, lanes, n) -> Dict[str, np.ndarray]:
     n = np.asarray(n, dtype=np.float64)
 
     port_groups = n + 1.0  # N tensor units + the vector unit
-    read_ports = vreg_mod.READ_PORTS_PER_UNIT * port_groups
-    write_ports = vreg_mod.WRITE_PORTS_PER_UNIT * port_groups
-    total_ports = read_ports + write_ports
-    entries = vreg_mod.DEFAULT_ENTRIES
-    word_bits = lanes * vreg_mod.ELEMENT_BITS
-    bits = entries * word_bits
-
-    growth = 1.0 + regfile_mod.PORT_PITCH_GROWTH * np.maximum(
-        0.0, total_ports - 2
+    ports = (
+        vreg_mod.READ_PORTS_PER_UNIT * port_groups
+        + vreg_mod.WRITE_PORTS_PER_UNIT * port_groups
     )
-    cell_um2 = tech.sram_cell_um2 * regfile_mod.BASE_CELL_SRAM_RATIO * (
-        growth**2
-    )
-    decoder_gates = float(
-        gates_mod.decoder_gate_count(max(1, math.ceil(math.log2(entries))))
-    )
-    area = um2_to_mm2(
-        (bits * cell_um2 + decoder_gates * total_ports * tech.gate_area_um2)
-        * regfile_mod.PERIPHERY_OVERHEAD
-    )
-    decode_pj = _logic_energy_pj(sub, decoder_gates)
-    read_pj = (
-        fj_to_pj(word_bits * tech.dff_energy_fj * 0.30 * growth) + decode_pj
-    )
-    write_pj = (
-        fj_to_pj(word_bits * tech.dff_energy_fj * 0.55 * growth) + decode_pj
-    )
+    shape = (vreg_mod.DEFAULT_ENTRIES, lanes * vreg_mod.ELEMENT_BITS, ports)
+    read_pj = regfile_mod.regfile_read_energy_pj(tech, *shape)
+    write_pj = regfile_mod.regfile_write_energy_pj(tech, *shape)
     active_pj = (
         port_groups
         * (2 * read_pj + write_pj)
         * calibration.CLOCK_NETWORK_OVERHEAD
     )
-    dyn = (
-        dynamic_power_w(active_pj, sub.freq_ghz)
-        * calibration.TDP_ACTIVITY["memory"]
+    cycle = regfile_mod.regfile_access_latency_ns(
+        tech, vreg_mod.DEFAULT_ENTRIES
     )
-    leak = nw_to_w(bits * tech.sram_bit_leak_nw * 2.0 * growth) + nw_to_w(
-        decoder_gates * total_ports * tech.gate_leak_nw
-    )
-    cycle = ps_to_ns(
-        (3 + max(1, math.ceil(math.log2(entries)))) * tech.fo4_ps
-    )
-    shape = np.broadcast(lanes, n).shape
     return {
-        "area_mm2": area,
-        "dynamic_w": dyn,
-        "leakage_w": leak,
-        "timing_ns": np.broadcast_to(np.float64(cycle), shape).copy(),
+        "area_mm2": regfile_mod.regfile_area_mm2(tech, *shape),
+        "dynamic_w": dynamic_power_w(active_pj, sub.freq_ghz)
+        * calibration.TDP_ACTIVITY["memory"],
+        "leakage_w": regfile_mod.regfile_leakage_w(tech, *shape),
+        "timing_ns": np.broadcast_to(
+            np.float64(cycle), np.broadcast(lanes, n).shape
+        ).copy(),
     }
 
 
@@ -547,15 +229,15 @@ def lsu_kernel(sub: TechSubstrate, x, n) -> Dict[str, np.ndarray]:
         + datapath_bytes * 8 * frontend_mod.LSU_DATAPATH_GATES_PER_BIT
     )
     energy_pj = (
-        _logic_energy_pj(sub, gates, activity=0.15)
+        logic_energy_pj(tech, gates, 0.15)
         * calibration.CLOCK_NETWORK_OVERHEAD
     )
     shape = np.broadcast(x, n).shape
     return {
-        "area_mm2": _logic_area_mm2(sub, gates),
+        "area_mm2": logic_area_mm2(tech, gates),
         "dynamic_w": dynamic_power_w(energy_pj, sub.freq_ghz)
         * calibration.TDP_ACTIVITY["control"],
-        "leakage_w": _logic_leak_w(sub, gates),
+        "leakage_w": logic_leakage_w(tech, gates),
         "timing_ns": np.broadcast_to(
             np.float64(ps_to_ns(12 * tech.fo4_ps)), shape
         ).copy(),
@@ -573,6 +255,7 @@ def memory_kernel(sub: TechSubstrate, x, n, cores) -> Dict[str, np.ndarray]:
     synthesize the exact scalar ``OptimizationError`` for infeasible
     points.
     """
+    tech = sub.tech
     x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
@@ -593,7 +276,9 @@ def memory_kernel(sub: TechSubstrate, x, n, cores) -> Dict[str, np.ndarray]:
     latency_cycles = sub.template_mem_latency_cycles
     bound_ns = latency_cycles * sub.cycle_ns
 
-    org = sram_search_kernel(sub, capacity, block, read_bw, write_bw, bound_ns)
+    org = _searched_organizations(
+        sub, capacity, block, read_bw, write_bw, bound_ns
+    )
 
     bytes_per_cycle = block * sub.freq_ghz
     reads = np.minimum(
@@ -606,15 +291,15 @@ def memory_kernel(sub: TechSubstrate, x, n, cores) -> Dict[str, np.ndarray]:
     energy_pj = (
         reads * org["read_energy_pj"]
         + writes * org["write_energy_pj"]
-        + _logic_energy_pj(sub, control_gates)
+        + logic_energy_pj(tech, control_gates)
     )
     return {
-        "area_mm2": org["area_mm2"] + _logic_area_mm2(sub, control_gates),
+        "area_mm2": org["area_mm2"] + logic_area_mm2(tech, control_gates),
         "dynamic_w": dynamic_power_w(
             energy_pj * calibration.CLOCK_NETWORK_OVERHEAD, sub.freq_ghz
         )
         * calibration.TDP_ACTIVITY["memory"],
-        "leakage_w": org["leakage_w"] + _logic_leak_w(sub, control_gates),
+        "leakage_w": org["leakage_w"] + logic_leakage_w(tech, control_gates),
         "timing_ns": org["latency_ns"] / latency_cycles,
         "feasible": org["feasible"],
         "capacity_bytes": capacity,
@@ -631,6 +316,55 @@ def memory_kernel(sub: TechSubstrate, x, n, cores) -> Dict[str, np.ndarray]:
     }
 
 
+def _searched_organizations(
+    sub: TechSubstrate, capacity, block, read_bw, write_bw, bound_ns
+) -> Dict[str, np.ndarray]:
+    """`optimize_sram` per point, plus the winning organization's physics.
+
+    The lattice search runs once per distinct requirement row, in the
+    fixed-size blocks of :func:`repro.circuit.sram.search_lattice`, so
+    its working memory does not grow with the sweep.  Infeasible points
+    (the scalar path raises ``OptimizationError``) carry NaNs and a False
+    ``feasible`` entry.
+    """
+    rows = np.stack(np.broadcast_arrays(capacity, block, read_bw, write_bw))
+    unique, inverse = np.unique(
+        rows.reshape(4, -1), axis=1, return_inverse=True
+    )
+    index = sram_mod.search_lattice(
+        sub.tech,
+        sub.freq_ghz,
+        unique[0],
+        unique[1],
+        bound_ns,
+        unique[2],
+        unique[3],
+    )[inverse.reshape(-1)].reshape(rows.shape[1:])
+    feasible = index >= 0
+    org = sram_mod.lattice_organization(
+        rows[0], rows[1], np.where(feasible, index, 0)
+    )
+    nan = np.where(feasible, 0.0, np.nan)
+    return {
+        "feasible": feasible,
+        "banks": np.where(feasible, org.banks, nan),
+        "bank_read_slots": org.banks * org.read_ports + nan,
+        "bank_write_slots": org.banks * org.write_ports + nan,
+        "area_mm2": sram_mod.sram_area_mm2(sub.tech, org) + nan,
+        "read_energy_pj": sram_mod.sram_read_energy_pj(sub.tech, org) + nan,
+        "write_energy_pj": sram_mod.sram_write_energy_pj(sub.tech, org)
+        + nan,
+        "leakage_w": sram_mod.sram_leakage_w(sub.tech, org) + nan,
+        "latency_ns": sram_mod.sram_access_latency_ns(sub.tech, org) + nan,
+        "read_bw_gbps": sram_mod.sram_read_bandwidth_gbps(org, sub.freq_ghz)
+        + nan,
+        "write_bw_gbps": sram_mod.sram_write_bandwidth_gbps(
+            org, sub.freq_ghz
+        )
+        + nan,
+    }
+
+
 def cdb_kernel(
     sub: TechSubstrate, x, connected_area_mm2
 ) -> Dict[str, np.ndarray]:
@@ -641,19 +375,19 @@ def cdb_kernel(
     length_mm = np.sqrt(connected_area_mm2)
     wire = sub.wire_intermediate
 
-    delay_ns = _repeated_wire_delay_ns(sub, wire, length_mm)
+    delay_ns = repeated_wire_delay_ns(tech, wire, length_mm)
     stages = np.maximum(1.0, np.ceil(delay_ns / sub.cycle_ns))
     pipe_bits = width_bits * stages
-    transfer_pj = width_bits * _wire_energy_pj_per_bit(
-        sub, wire, length_mm
-    ) + _dff_active_pj(sub, pipe_bits)
+    transfer_pj = width_bits * wire_energy_pj_per_bit(
+        tech, wire, length_mm
+    ) + dff_active_energy_pj(tech, pipe_bits)
     energy_pj = transfer_pj * calibration.CLOCK_NETWORK_OVERHEAD
     return {
         "area_mm2": um_to_mm(width_bits * wire.pitch_um) * length_mm
-        + _dff_area_mm2(sub, pipe_bits),
+        + dff_area_mm2(tech, pipe_bits),
         "dynamic_w": dynamic_power_w(energy_pj, sub.freq_ghz)
         * calibration.TDP_ACTIVITY["interconnect"],
-        "leakage_w": _dff_leak_w(sub, pipe_bits),
+        "leakage_w": dff_leakage_w(tech, pipe_bits),
         "timing_ns": delay_ns / stages,
     }
 
@@ -686,14 +420,14 @@ def noc_kernel(
     buffer_bits = ports * noc_mod.BUFFER_DEPTH * flit
     crossbar_gates = ports * ports * flit * noc_mod.CROSSBAR_GATES_PER_BIT
     router_area = (
-        _dff_area_mm2(sub, buffer_bits)
-        + _logic_area_mm2(sub, crossbar_gates)
-        + _logic_area_mm2(sub, noc_mod.ALLOCATOR_GATES)
+        dff_area_mm2(tech, buffer_bits)
+        + logic_area_mm2(tech, crossbar_gates)
+        + logic_area_mm2(tech, noc_mod.ALLOCATOR_GATES)
     )
     per_flit_pj = (
-        2.0 * _dff_active_pj(sub, flit)
-        + _logic_energy_pj(sub, crossbar_gates, activity=0.25) / ports
-        + _logic_energy_pj(sub, noc_mod.ALLOCATOR_GATES, activity=0.3)
+        2.0 * dff_active_energy_pj(tech, flit)
+        + logic_energy_pj(tech, crossbar_gates, 0.25) / ports
+        + logic_energy_pj(tech, noc_mod.ALLOCATOR_GATES, 0.3)
     )
     router_energy_pj = per_flit_pj * ports * 0.5
     routers_dyn = (
@@ -705,17 +439,17 @@ def noc_kernel(
         * calibration.TDP_ACTIVITY["interconnect"]
     )
     routers_leak = nodes * (
-        _dff_leak_w(sub, buffer_bits)
-        + _logic_leak_w(sub, crossbar_gates)
-        + _logic_leak_w(sub, noc_mod.ALLOCATOR_GATES)
+        dff_leakage_w(tech, buffer_bits)
+        + logic_leakage_w(tech, crossbar_gates)
+        + logic_leakage_w(tech, noc_mod.ALLOCATOR_GATES)
     )
 
     pitch_mm = np.sqrt(np.maximum(core_area_mm2, 1e-6))
     track_area = (
         um_to_mm(link_count * 2 * flit * sub.wire_global.pitch_um) * pitch_mm
     )
-    link_energy_pj = flit * _wire_energy_pj_per_bit(
-        sub, sub.wire_global, pitch_mm
+    link_energy_pj = flit * wire_energy_pj_per_bit(
+        tech, sub.wire_global, pitch_mm
     )
     links_dyn = (
         link_count
@@ -743,6 +477,7 @@ def noc_energy_per_byte_kernel(
     count times the per-flit router + link energies, normalized per bit.
     Single-core points cost zero, exactly like the scalar accessor.
     """
+    tech = sub.tech
     tx = np.asarray(tx, dtype=np.float64)
     ty = np.asarray(ty, dtype=np.float64)
     nodes = tx * ty
@@ -763,13 +498,13 @@ def noc_energy_per_byte_kernel(
 
     crossbar_gates = ports * ports * flit * noc_mod.CROSSBAR_GATES_PER_BIT
     router_per_flit_pj = (
-        2.0 * _dff_active_pj(sub, flit)
-        + _logic_energy_pj(sub, crossbar_gates, activity=0.25) / ports
-        + _logic_energy_pj(sub, noc_mod.ALLOCATOR_GATES, activity=0.3)
+        2.0 * dff_active_energy_pj(tech, flit)
+        + logic_energy_pj(tech, crossbar_gates, 0.25) / ports
+        + logic_energy_pj(tech, noc_mod.ALLOCATOR_GATES, 0.3)
     )
     pitch_mm = np.sqrt(np.maximum(core_area_mm2, 1e-6))
-    link_per_flit_pj = flit * _wire_energy_pj_per_bit(
-        sub, sub.wire_global, pitch_mm
+    link_per_flit_pj = flit * wire_energy_pj_per_bit(
+        tech, sub.wire_global, pitch_mm
     )
     per_flit = hops * (router_per_flit_pj + link_per_flit_pj)
     return np.where(multi, per_flit * 8.0 / flit, 0.0)

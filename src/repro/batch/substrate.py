@@ -7,7 +7,8 @@ unit, memory controller, PCIe, ICI, DMA) — is fixed for a given
 :class:`~repro.arch.component.ModelContext` and *preset family*.
 :class:`TechSubstrate` evaluates all of that exactly once, using the
 *real* scalar models, so the array kernels in :mod:`repro.batch.kernels`
-only have to transcribe the point-dependent closed forms.
+only have to assemble the point-dependent components, from the same
+broadcastable circuit functions the scalar models call.
 
 Two families are modeled: ``"datacenter"`` (the int8 inference preset of
 Table I) and ``"training"`` (the bf16/fp32 TPU-v2-class preset).  Each
@@ -18,8 +19,8 @@ which anchors those datatypes natively), and dependent-parameter rules
 
 Because the fixed blocks are evaluated through their own ``estimate()``
 methods, their contributions are bit-identical to the scalar walk; only
-the point-dependent formulas are re-derived (and covered by the
-scalar/vector equivalence suite).
+the architecture-level assembly of the point-dependent components is
+re-derived (and covered by the scalar/vector equivalence suite).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Systolic-cell local buffers, TU I/O FIFOs, reduction-tree pipeline stages,
 and bus pipeline registers are all banks of standard-cell flip-flops.  The
 energy model separates the clock-pin energy (paid every cycle the bank is
 clocked, unless clock gated) from the data-toggle energy (paid only when
-stored bits change).
+stored bits change).  The closed forms broadcast over arrays of bit counts,
+so the batch kernels evaluate the same functions :class:`DffBank` does.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ class DffBank:
 
     def area_mm2(self, tech: TechNode) -> float:
         """Placed bank area (cell area only; routing is the parent's)."""
-        return um2_to_mm2(self.bits * tech.dff_area_um2)
+        return float(dff_area_mm2(tech, self.bits))
 
     def energy_per_active_cycle_pj(self, tech: TechNode) -> float:
         """Energy on a cycle where the bank is clocked and written."""
-        per_bit_fj = tech.dff_energy_fj * (
-            CLOCK_ENERGY_FRACTION
-            + (1.0 - CLOCK_ENERGY_FRACTION) * self.data_activity
+        return float(
+            dff_active_energy_pj(tech, self.bits, self.data_activity)
         )
-        return fj_to_pj(self.bits * per_bit_fj)
 
     def energy_per_idle_cycle_pj(self, tech: TechNode) -> float:
         """Energy on a cycle where the bank holds its value.
@@ -74,8 +73,28 @@ class DffBank:
 
     def leakage_w(self, tech: TechNode) -> float:
         """Static power of the bank."""
-        return nw_to_w(self.bits * tech.dff_leak_nw)
+        return float(dff_leakage_w(tech, self.bits))
 
     def setup_plus_clk_to_q_ns(self, tech: TechNode) -> float:
         """Sequencing overhead a pipeline stage pays for this register."""
         return ps_to_ns(2.0 * tech.fo4_ps)
+
+
+def dff_area_mm2(tech: TechNode, bits):
+    """Placed cell area of ``bits`` flip-flops."""
+    return um2_to_mm2(bits * tech.dff_area_um2)
+
+
+def dff_active_energy_pj(
+    tech: TechNode, bits, data_activity=DEFAULT_DATA_ACTIVITY
+):
+    """Energy of ``bits`` flip-flops on a clocked, written cycle."""
+    per_bit_fj = tech.dff_energy_fj * (
+        CLOCK_ENERGY_FRACTION + (1.0 - CLOCK_ENERGY_FRACTION) * data_activity
+    )
+    return fj_to_pj(bits * per_bit_fj)
+
+
+def dff_leakage_w(tech: TechNode, bits):
+    """Static power of ``bits`` flip-flops."""
+    return nw_to_w(bits * tech.dff_leak_nw)

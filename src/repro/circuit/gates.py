@@ -5,12 +5,18 @@ FIFO control) is modeled as a count of NAND2-equivalent gates with an
 average switching activity.  Delay through a gate chain uses the FO4 unit
 from the technology node; driving large loads uses a classic geometric
 buffer chain.
+
+The closed forms are module-level functions of the gate count that
+broadcast over NumPy arrays: :class:`LogicBlock` evaluates them for one
+block, the batch kernels for a whole design-point grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
@@ -57,23 +63,34 @@ class LogicBlock:
 
     def area_mm2(self, tech: TechNode) -> float:
         """Placed-and-routed block area."""
-        return um2_to_mm2(
-            self.gate_count * tech.gate_area_um2 * ROUTING_OVERHEAD
-        )
+        return float(logic_area_mm2(tech, self.gate_count))
 
     def energy_per_cycle_pj(self, tech: TechNode) -> float:
         """Dynamic energy per active cycle at the block's activity."""
-        return fj_to_pj(
-            self.gate_count * self.activity * tech.gate_energy_fj
-        )
+        return float(logic_energy_pj(tech, self.gate_count, self.activity))
 
     def leakage_w(self, tech: TechNode) -> float:
         """Static power of the block."""
-        return nw_to_w(self.gate_count * tech.gate_leak_nw)
+        return float(logic_leakage_w(tech, self.gate_count))
 
     def delay_ns(self, tech: TechNode) -> float:
         """Critical-path delay through the block's gate levels."""
         return ps_to_ns(self.logic_depth * tech.fo4_ps)
+
+
+def logic_area_mm2(tech: TechNode, gate_count):
+    """Placed-and-routed area of ``gate_count`` gates."""
+    return um2_to_mm2(gate_count * tech.gate_area_um2 * ROUTING_OVERHEAD)
+
+
+def logic_energy_pj(tech: TechNode, gate_count, activity=DEFAULT_ACTIVITY):
+    """Dynamic energy per active cycle of ``gate_count`` gates."""
+    return fj_to_pj(gate_count * activity * tech.gate_energy_fj)
+
+
+def logic_leakage_w(tech: TechNode, gate_count):
+    """Static power of ``gate_count`` gates."""
+    return nw_to_w(gate_count * tech.gate_leak_nw)
 
 
 def buffer_chain_delay_ns(tech: TechNode, load_ff: float) -> float:
@@ -103,16 +120,28 @@ def buffer_chain_energy_pj(tech: TechNode, load_ff: float) -> float:
     return fj_to_pj((4.0 / 3.0) * load_ff * tech.vdd_v**2)
 
 
-def decoder_gate_count(address_bits: int) -> int:
+def decoder_gate_count(address_bits):
     """NAND2-equivalent gates of an ``address_bits``-input row decoder.
 
     Predecode plus a final NOR stage: roughly two gates per output word line
-    plus the predecoder, the standard CACTI first-order count.
+    plus the predecoder, the standard CACTI first-order count.  An integer
+    width returns an integer; an array of widths (each >= 1, as
+    :func:`address_bits` produces) broadcasts.
     """
-    if address_bits < 0:
-        raise ConfigurationError(f"negative address width: {address_bits}")
-    if address_bits == 0:
-        return 1
+    if np.ndim(address_bits) == 0:
+        if address_bits < 0:
+            raise ConfigurationError(f"negative address width: {address_bits}")
+        if address_bits == 0:
+            return 1
     outputs = 2**address_bits
     predecode = 4 * address_bits
     return predecode + 2 * outputs
+
+
+def address_bits(words):
+    """Address width selecting one of ``words`` lines (at least 1 bit).
+
+    ``ceil(log2(words))``, broadcasting over arrays; exact for the integer
+    word counts the array models pass.
+    """
+    return np.maximum(1, np.ceil(np.log2(np.maximum(words, 2))))

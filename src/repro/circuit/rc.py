@@ -156,7 +156,8 @@ def ladder_delay_ns(
 
     ``t = R_drv * (C_wire + C_load) + R_wire * (C_wire / 2 + C_load)`` — the
     limit of :func:`rc_ladder` with infinitely many segments.  Used by the
-    array and interconnect models, which only need the scalar delay.
+    array and interconnect models; plain arithmetic, so it broadcasts over
+    arrays of wire parameters.
     """
     delay_ohm_ff = driver_ohm * (total_capacitance_ff + load_ff) + (
         total_resistance_ohm * (total_capacitance_ff / 2.0 + load_ff)

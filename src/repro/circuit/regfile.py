@@ -6,14 +6,24 @@ port adds a word line and a bit-line pair, growing the cell pitch in both
 dimensions — the classic reason NeuroMeter caps the number of TUs sharing a
 VReg (Sec. III-A: eight 4x4 TUs per core push the VReg to 12.7% of core area
 and 24.9% of core power).
+
+The closed forms are module-level functions of ``(entries, word_bits,
+ports)`` that broadcast over arrays; :class:`RegisterFile` evaluates them
+for one register file, the batch kernels for every point of a sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.circuit.gates import LogicBlock, decoder_gate_count
+import numpy as np
+
+from repro.circuit.gates import (
+    address_bits,
+    decoder_gate_count,
+    logic_energy_pj,
+    logic_leakage_w,
+)
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
 from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
@@ -60,54 +70,88 @@ class RegisterFile:
     def bits(self) -> int:
         return self.entries * self.word_bits
 
-    def _cell_area_um2(self, tech: TechNode) -> float:
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        return tech.sram_cell_um2 * BASE_CELL_SRAM_RATIO * growth**2
-
     def area_mm2(self, tech: TechNode) -> float:
         """Array plus per-port decoders and drivers."""
-        cells = self.bits * self._cell_area_um2(tech)
-        decoder = LogicBlock(
-            "rf-decode",
-            decoder_gate_count(_log2_int(self.entries)) * self.total_ports,
+        return float(
+            regfile_area_mm2(
+                tech, self.entries, self.word_bits, self.total_ports
+            )
         )
-        periph = decoder.gate_count * tech.gate_area_um2
-        return um2_to_mm2((cells + periph) * PERIPHERY_OVERHEAD)
 
     def read_energy_pj(self, tech: TechNode) -> float:
         """Energy of one full-width read on one port."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        per_bit_fj = tech.dff_energy_fj * 0.30 * growth
-        decode = LogicBlock(
-            "rf-decode", decoder_gate_count(_log2_int(self.entries))
-        ).energy_per_cycle_pj(tech)
-        return fj_to_pj(self.word_bits * per_bit_fj) + decode
+        return float(
+            regfile_read_energy_pj(
+                tech, self.entries, self.word_bits, self.total_ports
+            )
+        )
 
     def write_energy_pj(self, tech: TechNode) -> float:
         """Energy of one full-width write on one port."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        per_bit_fj = tech.dff_energy_fj * 0.55 * growth
-        decode = LogicBlock(
-            "rf-decode", decoder_gate_count(_log2_int(self.entries))
-        ).energy_per_cycle_pj(tech)
-        return fj_to_pj(self.word_bits * per_bit_fj) + decode
+        return float(
+            regfile_write_energy_pj(
+                tech, self.entries, self.word_bits, self.total_ports
+            )
+        )
 
     def leakage_w(self, tech: TechNode) -> float:
         """Static power of cells and periphery."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        cell_leak = nw_to_w(
-            self.bits * tech.sram_bit_leak_nw * 2.0 * growth
+        return float(
+            regfile_leakage_w(
+                tech, self.entries, self.word_bits, self.total_ports
+            )
         )
-        periph_gates = decoder_gate_count(_log2_int(self.entries)) * (
-            self.total_ports
-        )
-        return cell_leak + nw_to_w(periph_gates * tech.gate_leak_nw)
 
     def access_latency_ns(self, tech: TechNode) -> float:
         """Decode + word line + small bitline; register files are fast."""
-        levels = 3 + _log2_int(self.entries)
-        return ps_to_ns(levels * tech.fo4_ps)
+        return float(regfile_access_latency_ns(tech, self.entries))
 
 
-def _log2_int(value: int) -> int:
-    return max(1, int(math.ceil(math.log2(max(value, 2)))))
+def _port_growth(ports):
+    """Cell pitch growth per dimension from ports beyond the second."""
+    return 1.0 + PORT_PITCH_GROWTH * np.maximum(0, ports - 2)
+
+
+def _decoder_gates(entries):
+    return decoder_gate_count(address_bits(entries))
+
+
+def regfile_area_mm2(tech: TechNode, entries, word_bits, ports):
+    """Cell array plus one decoder per port."""
+    cell_um2 = (
+        tech.sram_cell_um2 * BASE_CELL_SRAM_RATIO * _port_growth(ports) ** 2
+    )
+    cells = entries * word_bits * cell_um2
+    periph = _decoder_gates(entries) * ports * tech.gate_area_um2
+    return um2_to_mm2((cells + periph) * PERIPHERY_OVERHEAD)
+
+
+def _access_energy_pj(tech: TechNode, entries, word_bits, ports, per_bit):
+    """One full-width access on one port; ``per_bit`` scales DFF energy."""
+    bitline_fj = word_bits * tech.dff_energy_fj * per_bit * _port_growth(ports)
+    return fj_to_pj(bitline_fj) + logic_energy_pj(
+        tech, _decoder_gates(entries)
+    )
+
+
+def regfile_read_energy_pj(tech: TechNode, entries, word_bits, ports):
+    """Energy of one full-width read on one port."""
+    return _access_energy_pj(tech, entries, word_bits, ports, 0.30)
+
+
+def regfile_write_energy_pj(tech: TechNode, entries, word_bits, ports):
+    """Energy of one full-width write on one port."""
+    return _access_energy_pj(tech, entries, word_bits, ports, 0.55)
+
+
+def regfile_leakage_w(tech: TechNode, entries, word_bits, ports):
+    """Static power of cells and per-port decoders."""
+    cell_leak = nw_to_w(
+        entries * word_bits * tech.sram_bit_leak_nw * 2.0 * _port_growth(ports)
+    )
+    return cell_leak + logic_leakage_w(tech, _decoder_gates(entries) * ports)
+
+
+def regfile_access_latency_ns(tech: TechNode, entries):
+    """Decode + word line + small bitline, in FO4 levels."""
+    return ps_to_ns((3 + address_bits(entries)) * tech.fo4_ps)

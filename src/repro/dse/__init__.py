@@ -14,7 +14,6 @@ from repro.dse.engine import (
     SweepReport,
     run_sweep,
 )
-from repro.dse.guardrails import validate_result
 from repro.dse.journal import Journal, JournalEntry, SummaryResult, load_journal
 from repro.dse.pareto import pareto_front
 from repro.dse.edge import edge_design_point, edge_sweep, evaluate_edge_point
@@ -26,6 +25,7 @@ from repro.dse.sensitivity import (
     stability_summary,
     winner_stability,
 )
+from repro.integrity import validate_result
 
 __all__ = [
     "Constraints",

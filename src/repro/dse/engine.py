@@ -43,7 +43,7 @@ points:
   appended to a JSONL journal (:mod:`repro.dse.journal`); ``resume=True``
   skips journaled points and rehydrates their metrics.
 * **Result guardrails** — every accepted result passes
-  :func:`repro.dse.guardrails.validate_result`; NaN/inf/out-of-range
+  :func:`repro.integrity.validate_result`; NaN/inf/out-of-range
   values are rejected at the boundary as
   :class:`~repro.errors.NumericalError`.
 
@@ -66,7 +66,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.arch.component import ModelContext
 from repro.cache.store import _Totals, get_estimate_cache
-from repro.dse.guardrails import validate_result
 from repro.dse.journal import (
     Journal,
     JournalEntry,
@@ -83,6 +82,7 @@ from repro.errors import (
     OptimizationError,
     PointTimeoutError,
 )
+from repro.integrity import validate_result
 from repro.perf.graph import Graph
 from repro.perf.simulator import DEFAULT_LATENCY_SLO_MS
 
@@ -1195,7 +1195,7 @@ def run_sweep(
             recipe dropped, salvaging the peak-only row (status
             ``degraded``).
         validate: Run the result guardrails
-            (:func:`repro.dse.guardrails.validate_result`) on every
+            (:func:`repro.integrity.validate_result`) on every
             accepted result.
         journal_path: JSONL checkpoint file; every finished point is
             appended and fsynced.
@@ -1289,13 +1289,7 @@ def run_sweep(
             tasks.append(_Task(index=index, point=point))
 
         if tasks and backend != "scalar":
-            use_vector = True
-            if backend == "auto":
-                from repro.batch.estimator import HAVE_NUMPY
-
-                use_vector = HAVE_NUMPY
-            if use_vector:
-                tasks = run.run_vector(tasks, backend)
+            tasks = run.run_vector(tasks, backend)
 
         if pool is not None or jobs > 1 or timeout_s is not None:
             if warm_cache and tasks:

@@ -10,7 +10,6 @@ exact sweep engine and reports only exact numbers.  See
 from repro.dse.surrogate.features import (
     FEATURE_NAMES,
     FEATURE_SCHEMA_VERSION,
-    HAVE_NUMPY,
     TARGET_NAMES,
     feature_digest,
     feature_row,
@@ -38,7 +37,6 @@ __all__ = [
     "EngineEvaluator",
     "FEATURE_NAMES",
     "FEATURE_SCHEMA_VERSION",
-    "HAVE_NUMPY",
     "MODEL_FORMAT_VERSION",
     "SearchResult",
     "ShardedEvaluator",

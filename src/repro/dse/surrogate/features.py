@@ -18,20 +18,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.arch.component import ModelContext
 from repro.cache.keys import short_hash
 from repro.config.presets import datacenter_context
 from repro.dse.journal import JournalEntry
 from repro.dse.space import DesignPoint
 from repro.errors import ConfigurationError
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY gates
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Bump when the feature layout below changes in any way.
 FEATURE_SCHEMA_VERSION = 1
@@ -69,14 +63,6 @@ TARGET_NAMES: tuple[str, ...] = (
 )
 
 
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise ConfigurationError(
-            "the surrogate needs numpy; install it or use "
-            "--strategy exhaustive"
-        )
-
-
 def feature_row(
     point: DesignPoint, ctx: Optional[ModelContext] = None
 ) -> list[float]:
@@ -106,7 +92,6 @@ def featurize_points(
     points: Sequence[DesignPoint], ctx: Optional[ModelContext] = None
 ) -> "np.ndarray":
     """Feature matrix of shape ``(len(points), len(FEATURE_NAMES))``."""
-    _require_numpy()
     ctx = ctx if ctx is not None else datacenter_context()
     return np.asarray(
         [feature_row(point, ctx) for point in points], dtype=np.float64
@@ -170,7 +155,6 @@ def training_rows(
     with a non-``"exact"`` source are refused — the surrogate must never
     train on its own predictions.
     """
-    _require_numpy()
     ctx = ctx if ctx is not None else datacenter_context()
     by_point: dict[DesignPoint, dict] = {}
     order: list[DesignPoint] = []

@@ -23,19 +23,16 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.dse.journal import load_journal
 from repro.dse.seeding import derive_seed, resolve_seed
 from repro.dse.surrogate.features import (
-    HAVE_NUMPY,
     TARGET_NAMES,
-    _require_numpy,
     feature_digest,
     training_rows,
 )
 from repro.errors import ConfigurationError
-
-if HAVE_NUMPY:  # pragma: no branch
-    import numpy as np
 
 #: Bump when the pickled layout below changes incompatibly.
 MODEL_FORMAT_VERSION = 1
@@ -263,7 +260,6 @@ class SurrogateModel:
         Targets no member could fit come back as NaN rows, which the
         acquisition layer treats as "no information", never as zeros.
         """
-        _require_numpy()
         out: dict[str, "np.ndarray"] = {}
         count = features.shape[0]
         for t, name in enumerate(self.target_names):
@@ -407,7 +403,6 @@ def fit_surrogate(
         ConfigurationError: fewer than the minimum training rows, or
             invalid hyperparameters.
     """
-    _require_numpy()
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if features.ndim != 2 or targets.ndim != 2 or \

@@ -34,6 +34,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.cache.keys import short_hash
 from repro.dse.engine import SweepReport, run_sweep
 from repro.dse.journal import JournalEntry, journal_header, load_journal
@@ -42,7 +44,6 @@ from repro.dse.pareto import pareto_front
 from repro.dse.seeding import derive_seed, resolve_seed
 from repro.dse.space import DesignPoint, SpaceAxes
 from repro.dse.surrogate.features import (
-    _require_numpy,
     feature_digest,
     featurize_points,
     training_rows,
@@ -53,11 +54,6 @@ from repro.dse.surrogate.model import (
     fit_surrogate,
 )
 from repro.errors import ConfigurationError, OptimizationError
-
-try:  # pragma: no cover - exercised via the features module's gate
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 #: Default multi-objective axes of the verified frontier (peak metrics).
 DEFAULT_PARETO_OBJECTIVES = (
@@ -599,7 +595,6 @@ def surrogate_search(
             digest, or a resume journal from a different recipe.
         OptimizationError: the budget produced no feasible exact row.
     """
-    _require_numpy()
     if (candidates is None) == (axes is None):
         raise ConfigurationError(
             "surrogate_search needs exactly one of candidates= (pool "

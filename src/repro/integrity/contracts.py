@@ -1,7 +1,7 @@
 """Physical-invariant contracts checked at the component level.
 
-The sweep engine's boundary guardrails (kept here, re-exported by
-:mod:`repro.dse.guardrails`) catch the grossest symptoms — NaN, negative
+The sweep engine's boundary guardrails (:func:`validate_result`, re-exported
+by :mod:`repro.integrity`) catch the grossest symptoms — NaN, negative
 area, utilization above 1 — but only after a bad number has already rolled
 through every intermediate sum.  This module pushes the checks down to
 where the numbers are made:
@@ -50,7 +50,7 @@ ROLLUP_RTOL = 1e-9
 _ESTIMATE_FIELDS = ("area_mm2", "dynamic_w", "leakage_w", "cycle_time_ns")
 
 
-# -- boundary guardrail primitives (re-exported by repro.dse.guardrails) --------
+# -- boundary guardrail primitives (the sweep engine's result checks) --------
 
 
 def check_finite(field: str, value: float) -> float:

@@ -9,6 +9,10 @@ standard results the architecture layer needs:
   for deciding how many pipeline stages a long bus needs), and
 * the switching energy per bit per millimetre (wire capacitance plus the
   repeaters that drive it).
+
+Both broadcast over arrays of wire lengths, so the batch kernels call the
+same functions as the scalar models; a scalar length returns a plain
+``float``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError, TechnologyError
 from repro.tech.node import TechNode
@@ -122,10 +128,7 @@ def unrepeated_wire_delay_ns(
     The distributed-RC Elmore delay is ``0.5 * R * C``; appropriate for the
     short intra-unit wires that never warrant repeaters.
     """
-    if length_mm < 0:
-        raise ConfigurationError(
-            f"wire length must be non-negative, got {length_mm}"
-        )
+    _check_length(length_mm)
     return 0.5 * wire.rc_ns_per_mm2 * length_mm**2
 
 
@@ -139,20 +142,17 @@ def repeated_wire_delay_ns(
     ``sqrt(2 t_buf rc)`` per mm.  Wires shorter than one optimal segment
     fall back to the bare Elmore delay, whichever is smaller.
     """
-    if length_mm < 0:
-        raise ConfigurationError(
-            f"wire length must be non-negative, got {length_mm}"
-        )
     t_buf_ns = ps_to_ns(2.0 * tech.fo4_ps)
     rc = wire.rc_ns_per_mm2
     optimal_segment_mm = math.sqrt(2.0 * t_buf_ns / rc)
-    if length_mm <= optimal_segment_mm:
-        return min(
-            unrepeated_wire_delay_ns(tech, wire, length_mm)
-            + (t_buf_ns if length_mm > 0 else 0.0),
-            math.sqrt(2.0 * t_buf_ns * rc) * length_mm + t_buf_ns,
-        )
-    return math.sqrt(2.0 * t_buf_ns * rc) * length_mm
+    linear = math.sqrt(2.0 * t_buf_ns * rc) * length_mm
+    short = np.minimum(
+        unrepeated_wire_delay_ns(tech, wire, length_mm)
+        + np.where(length_mm > 0, t_buf_ns, 0.0),
+        linear + t_buf_ns,
+    )
+    delay = np.where(length_mm <= optimal_segment_mm, short, linear)
+    return float(delay) if delay.ndim == 0 else delay
 
 
 def wire_energy_pj_per_bit(
@@ -163,14 +163,19 @@ def wire_energy_pj_per_bit(
     Charges the full wire capacitance plus a repeater overhead at Vdd^2;
     activity factors are applied by the caller.
     """
-    if length_mm < 0:
-        raise ConfigurationError(
-            f"wire length must be non-negative, got {length_mm}"
-        )
+    _check_length(length_mm)
     energy_fj = (
         _REPEATER_ENERGY_FACTOR * wire.c_ff_per_mm * length_mm * tech.vdd_v**2
     )
     return fj_to_pj(energy_fj)
+
+
+def _check_length(length_mm) -> None:
+    shortest = np.min(length_mm)
+    if shortest < 0:
+        raise ConfigurationError(
+            f"wire length must be non-negative, got {shortest}"
+        )
 
 
 def wire_pipeline_stages(

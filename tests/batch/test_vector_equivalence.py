@@ -1,11 +1,13 @@
 """Scalar/vector equivalence and fallback contracts of the batch backend.
 
-The vectorized kernels transcribe the scalar closed forms, so the two
-paths must agree to float round-off (the acceptance bar is 1e-9 relative)
-on the *entire* Table I grid — not a sample.  Unsupported configurations
-(chips no kernel family transcribes) must be detected and routed through
-the scalar path, and build failures must surface the original error
-instead of masquerading as configuration mismatches.
+The vectorized kernels call the scalar models' circuit closed forms and
+transcribe how ``repro.arch`` assembles them, so the two paths must agree
+to float round-off (the acceptance bar is 1e-9 relative) on the *entire*
+Table I grid — not a sample — and exactly off the default context.
+Unsupported configurations (chips no kernel family transcribes) must be
+detected and routed through the scalar path, and build failures must
+surface the original error instead of masquerading as configuration
+mismatches.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import pytest
 
+from repro.arch.component import Estimate, ModelContext
 from repro.batch import BatchEstimator, supports_vector_path
 from repro.batch.estimator import (
     BUILD_FAILED,
@@ -30,6 +33,7 @@ from repro.dse.engine import run_sweep
 from repro.dse.space import TU_LENGTHS, TUS_PER_CORE, DesignPoint, _grids
 from repro.dse.sweep import evaluate_point
 from repro.errors import ConfigurationError, OptimizationError
+from repro.tech.node import node
 
 #: Acceptance tolerance for scalar/vector agreement.
 RTOL = 1e-9
@@ -104,6 +108,33 @@ def test_full_grid_scalar_vector_equivalence():
             assert _rel(
                 getattr(summary, name), getattr(reference, name)
             ) <= RTOL, (point, name)
+
+
+@pytest.mark.parametrize(
+    "feature_nm, freq_ghz", [(65, 0.5), (7, 0.9), (22, 0.7)]
+)
+def test_full_grid_is_bit_identical_off_the_default_context(
+    feature_nm, freq_ghz
+):
+    """Both backends share the circuit closed forms and the SRAM search,
+    so off the Table I context (tabulated and interpolated nodes) they
+    must agree exactly, not just to round-off."""
+    ctx = ModelContext(node(feature_nm), freq_ghz)
+    batch = BatchEstimator(ctx).estimate_points(FULL_GRID)
+    for point, summary in zip(FULL_GRID, batch.summaries):
+        try:
+            reference = evaluate_point(
+                point, (), (), ctx, latency_slo_ms=None
+            )
+        except OptimizationError:
+            assert summary is None, point
+            continue
+        assert summary is not None, f"vector path dropped {point}"
+        for name in _METRICS:
+            assert getattr(summary, name) == getattr(reference, name), (
+                point,
+                name,
+            )
 
 
 def test_full_grid_pinned_regression():
@@ -212,7 +243,13 @@ def test_batch_result_reports_fallback_reasons():
 
 
 def test_vector_summaries_are_plain_floats():
-    """Journal rows must serialize; no numpy scalars may leak out."""
+    """Journal rows must serialize; no numpy scalars may leak out.
+
+    The scalar path shares the circuit closed forms with the kernels, and
+    cache keys canonicalize floats by repr, so a numpy scalar leaking out
+    of a circuit model would silently change an estimate's key: every
+    value of a scalar result and its estimate tree is a plain float too.
+    """
     ctx = datacenter_context()
     batch = BatchEstimator(ctx).estimate_points(
         [DesignPoint(32, 2, 2, 2)]
@@ -222,6 +259,21 @@ def test_vector_summaries_are_plain_floats():
         value = getattr(summary, name)
         assert type(value) is float
         assert math.isfinite(value)
+
+    result = evaluate_point(DesignPoint(32, 2, 2, 2), (), (), ctx)
+    for name in _METRICS + ("peak_tops_per_watt", "peak_tops_per_tco"):
+        assert type(getattr(result, name)) is float, name
+
+    def walk(estimate: Estimate) -> None:
+        for name in ("area_mm2", "dynamic_w", "leakage_w", "cycle_time_ns"):
+            assert type(getattr(estimate, name)) is float, (
+                estimate.name,
+                name,
+            )
+        for child in estimate.children:
+            walk(child)
+
+    walk(result.estimate)
 
 
 def test_infeasible_fallback_reason_constant_exists():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.circuit.sram import (
+    MAX_BANKS,
+    SUBARRAY_ROW_CHOICES,
     SramArray,
     SramRequirements,
     optimize_sram,
@@ -198,6 +200,72 @@ class TestOptimizer:
         org = optimize_sram(req, t16)
         assert org.read_bandwidth_gbps(0.7) >= 2 * 128 * 0.7 * 4
         assert org.write_ports >= 1
+
+
+def _reference_search(req: SramRequirements, tech):
+    """The optimizer as a per-candidate loop over scalar SramArrays.
+
+    Banks outer, then read ports, write ports and subarray rows; the
+    first candidate with the smallest (area, read energy) wins.
+    """
+    best = None
+    banks = 1
+    while banks <= MAX_BANKS:
+        if req.capacity_bytes >= banks * req.block_bytes:
+            for read_ports in (1, 2, 4):
+                for write_ports in (1, 2):
+                    for rows in SUBARRAY_ROW_CHOICES:
+                        org = SramArray(
+                            req.capacity_bytes,
+                            req.block_bytes,
+                            banks,
+                            read_ports,
+                            write_ports,
+                            rows,
+                        )
+                        if (
+                            org.access_latency_ns(tech)
+                            > req.latency_bound_ns
+                            or org.read_bandwidth_gbps(req.freq_ghz)
+                            < req.target_read_bandwidth_gbps
+                            or org.write_bandwidth_gbps(req.freq_ghz)
+                            < req.target_write_bandwidth_gbps
+                        ):
+                            continue
+                        key = (org.area_mm2(tech), org.read_energy_pj(tech))
+                        if best is None or key < best[0]:
+                            best = (key, org)
+        banks *= 2
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize(
+    "capacity_bytes, block_bytes, freq_ghz, cycles, read_x, write_x",
+    [
+        (1 << 20, 64, 0.7, 1, 0.0, 0.0),
+        (3 << 20, 256, 0.7, 2, 2.0, 1.0),
+        (108 * 1024, 8, 0.2, 2, 27 * 0.2, 27 * 0.2),
+        (8 << 20, 128, 0.7, 4, 8.0, 4.0),
+        (32 << 20, 64, 3.0, 1, 0.0, 0.0),
+    ],
+)
+def test_lattice_search_matches_the_candidate_loop(
+    tech, capacity_bytes, block_bytes, freq_ghz, cycles, read_x, write_x
+):
+    req = SramRequirements(
+        capacity_bytes=capacity_bytes,
+        block_bytes=block_bytes,
+        freq_ghz=freq_ghz,
+        target_latency_ns=cycles / freq_ghz,
+        target_read_bandwidth_gbps=read_x * block_bytes * freq_ghz,
+        target_write_bandwidth_gbps=write_x * block_bytes * freq_ghz,
+    )
+    expected = _reference_search(req, tech)
+    if expected is None:
+        with pytest.raises(OptimizationError):
+            optimize_sram(req, tech)
+    else:
+        assert optimize_sram(req, tech) == expected
 
 
 class TestRequirements:

@@ -20,7 +20,6 @@ from repro.dse.engine import (
     classify_stage,
     run_sweep,
 )
-from repro.dse.guardrails import validate_result
 from repro.dse.journal import (
     Journal,
     JournalEntry,
@@ -36,6 +35,7 @@ from repro.errors import (
     NumericalError,
     PointTimeoutError,
 )
+from repro.integrity import validate_result
 
 GOOD = DesignPoint(16, 1, 2, 2)
 GOOD2 = DesignPoint(32, 1, 2, 2)

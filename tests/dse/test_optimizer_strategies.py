@@ -99,7 +99,6 @@ def test_partial_journal_finishes_the_sweep(tmp_path):
 
 
 def test_surrogate_strategy_matches_exhaustive_on_the_pool():
-    pytest.importorskip("numpy")
     exhaustive = optimize_design(
         POOL, objective=Objective.PEAK_TOPS_PER_TCO
     )
@@ -116,7 +115,6 @@ def test_surrogate_strategy_matches_exhaustive_on_the_pool():
 
 
 def test_surrogate_strategy_defaults_to_a_quarter_budget():
-    pytest.importorskip("numpy")
     outcome = optimize_design(
         POOL,
         objective=Objective.PEAK_TOPS,
@@ -127,7 +125,6 @@ def test_surrogate_strategy_defaults_to_a_quarter_budget():
 
 
 def test_surrogate_abort_reports_cancelled_not_partial_truth():
-    pytest.importorskip("numpy")
     calls = {"count": 0}
 
     def should_abort():

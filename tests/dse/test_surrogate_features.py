@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config.presets import datacenter_context
@@ -18,8 +19,6 @@ from repro.dse.surrogate.features import (
 )
 from repro.errors import ConfigurationError
 from repro.tech.node import node
-
-np = pytest.importorskip("numpy")
 
 POINT = DesignPoint(64, 2, 2, 4)
 

@@ -2,18 +2,16 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.dse.surrogate.features import TARGET_NAMES
-from repro.errors import ConfigurationError
-
-np = pytest.importorskip("numpy")
-
-from repro.dse.surrogate.model import (  # noqa: E402
+from repro.dse.surrogate.model import (
     MODEL_FORMAT_VERSION,
     SurrogateModel,
     fit_surrogate,
 )
+from repro.errors import ConfigurationError
 
 DIGEST = "test-digest"
 

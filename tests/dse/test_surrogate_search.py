@@ -1,19 +1,17 @@
 """Budgeted surrogate search: exact-only results, resumable, seeded."""
 
+import numpy as np
 import pytest
 
 from repro.dse.journal import load_journal
 from repro.dse.optimizer import Constraints, Objective, _score_fn
 from repro.dse.space import DesignPoint, SpaceAxes, full_grid
-from repro.errors import ConfigurationError
-
-pytest.importorskip("numpy")
-
-from repro.dse.surrogate.search import (  # noqa: E402
+from repro.dse.surrogate.search import (
     ShardedEvaluator,
     search_digest,
     surrogate_search,
 )
+from repro.errors import ConfigurationError
 
 #: A small but non-trivial pool: every TU length at two grid shapes.
 POOL = [
@@ -240,7 +238,6 @@ def test_stale_pretrained_model_is_refused():
     from repro.dse.surrogate.features import TARGET_NAMES
     from repro.dse.surrogate.model import fit_surrogate
 
-    np = pytest.importorskip("numpy")
     rng = np.random.default_rng(0)
     features = rng.uniform(1.0, 4.0, size=(16, 3))
     targets = np.full((16, len(TARGET_NAMES)), np.nan)

@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-import repro.dse.guardrails as guardrails
 import repro.integrity.contracts as contracts
 from repro.arch.component import Estimate
 from repro.errors import InvariantViolation, NumericalError
@@ -67,12 +66,6 @@ def test_check_fraction_still_rejects_beyond_the_band():
         check_fraction("u", 1.0 + 10 * UTILIZATION_SLACK)
     with pytest.raises(NumericalError):
         check_fraction("u", -0.01)
-
-
-def test_guardrails_module_is_a_shim_over_integrity():
-    # Same objects, not copies: patching one patches both.
-    for name in guardrails.__all__:
-        assert getattr(guardrails, name) is getattr(contracts, name)
 
 
 # -- the always-on numeric screen -----------------------------------------------

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from repro.dse.optimizer import _score_fn
 from repro.dse.pareto import pareto_front
 from repro.dse.space import full_grid
-
-pytest.importorskip("numpy")
-
-from repro.dse.surrogate.search import (  # noqa: E402
+from repro.dse.surrogate.search import (
     DEFAULT_PARETO_OBJECTIVES,
     surrogate_search,
 )

@@ -4,8 +4,6 @@ import pytest
 
 from repro.serve.client import RemoteError
 
-np = pytest.importorskip("numpy")
-
 #: Small candidate pool so a surrogate search stays fast in-test.
 POINTS = [
     [x, n, 2, 2]
