@@ -13,8 +13,12 @@ IEEE-754 ops on exactly-represented values are deterministic).
 
 The per-layer loop stays a Python loop (a graph has tens of layers); the
 per-*point* dimension — the axis that grows with sweep size — is fully
-vectorized.  Kernels use only array-API-standard operations so a GPU array
-namespace (e.g. ``cupy``) can be swapped in later.
+vectorized, and so is a second, leading axis of batch sizes: every op is
+elementwise, so one pass over a ``(rows, points)`` batch array simulates
+all of a sweep's batch regimes, including every candidate of the
+latency-bound search, at once.  Kernels use only array-API-standard
+operations so a GPU array namespace (e.g. ``cupy``) can be swapped in
+later.
 
 Energy coefficients that depend on the design tuple only through a handful
 of unique values (the TU's per-active-cycle energy depends on ``X`` alone;
@@ -311,9 +315,10 @@ def simulate_graph_arrays(
 ) -> Dict[str, np.ndarray]:
     """``Simulator.run`` over arrays of design points.
 
-    ``batch`` is a per-point array (the latency-bound regime resolves a
-    different batch per point).  Returns the end-to-end metrics plus the
-    activity factors the runtime power model consumes.
+    ``batch`` broadcasts against the point arrays: a per-point array, or
+    a ``(rows, 1)`` column that simulates one batch size per row.
+    Returns the end-to-end metrics plus the activity factors the runtime
+    power model consumes, shaped like the broadcast.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if np.any(batch < 1):
@@ -672,31 +677,6 @@ class BatchOutcome:
         return f"bs={int(self.batch[index])}"
 
 
-def latency_limited_batch_arrays(
-    spec: GraphSpec,
-    arch: ArchArrays,
-    peak_tops: np.ndarray,
-    opt: OptimizationConfig,
-    slo_ms: float = DEFAULT_LATENCY_SLO_MS,
-    candidates: Tuple[int, ...] = BATCH_CANDIDATES,
-) -> np.ndarray:
-    """``Simulator.latency_limited_batch`` per point, as an array."""
-    shape = np.asarray(arch.tu_rows).shape
-    best = np.full(shape, float(candidates[0]), dtype=np.float64)
-    for candidate in sorted(candidates):
-        result = simulate_graph_arrays(
-            spec,
-            arch,
-            peak_tops,
-            np.full(shape, float(candidate), dtype=np.float64),
-            opt,
-        )
-        best = np.where(
-            result["latency_ms"] <= slo_ms, float(candidate), best
-        )
-    return best
-
-
 def simulate_workloads(
     sub: TechSubstrate,
     grid: Dict[str, np.ndarray],
@@ -712,6 +692,13 @@ def simulate_workloads(
 ) -> List[BatchOutcome]:
     """Evaluate every (batch regime, workload) pair over all points.
 
+    Each workload is simulated once, over a ``(rows, points)`` batch
+    array.  The rows are the sorted ``BATCH_CANDIDATES`` when any spec is
+    ``"latency-bound"``, then every fixed batch not already among them.
+    The latency-bound batch is ``Simulator.latency_limited_batch`` per
+    point: the last sorted candidate whose latency meets the SLO, else
+    ``BATCH_CANDIDATES[0]``.  Each outcome gathers its row per point.
+
     The outer loops mirror ``evaluate_point`` exactly — batch regimes
     outer, workloads inner — so the flattened outcome order matches the
     scalar path's ``DesignPointResult.outcomes``.  Callers that already
@@ -719,6 +706,14 @@ def simulate_workloads(
     pass ``specs`` to skip re-deriving them from ``workloads``.
     """
     from repro.batch.kernels import noc_energy_per_byte_kernel
+
+    candidates = sorted(BATCH_CANDIDATES)
+    rows = list(candidates) if "latency-bound" in batches else []
+    for batch_spec in batches:
+        if batch_spec != "latency-bound" and int(batch_spec) not in rows:
+            rows.append(int(batch_spec))
+    if not rows:
+        return []
 
     opt = opt if opt is not None else OptimizationConfig.all_on()
     x = np.asarray(x, dtype=np.float64)
@@ -735,20 +730,31 @@ def simulate_workloads(
         specs = [
             (name, GraphSpec.of(graph, opt)) for name, graph in workloads
         ]
+    sizes = np.asarray(rows, dtype=np.float64)
+    stacked = sizes.reshape(sizes.shape + (1,) * x.ndim)
+    runs = [
+        simulate_graph_arrays(spec, arch, peak_tops, stacked, opt)
+        for _, spec in specs
+    ]
+
     outcomes: List[BatchOutcome] = []
     for batch_spec in batches:
-        for name, spec in specs:
+        for (name, _), run in zip(specs, runs):
             if batch_spec == "latency-bound":
-                batch = latency_limited_batch_arrays(
-                    spec, arch, peak_tops, opt, slo_ms=latency_slo_ms
+                meets = run["latency_ms"][: len(candidates)] <= latency_slo_ms
+                last = len(candidates) - 1 - np.argmax(meets[::-1], axis=0)
+                row = np.where(
+                    np.any(meets, axis=0),
+                    last,
+                    rows.index(BATCH_CANDIDATES[0]),
                 )
             else:
-                batch = np.full(
-                    x.shape, float(int(batch_spec)), dtype=np.float64
-                )
-            result = simulate_graph_arrays(
-                spec, arch, peak_tops, batch, opt
-            )
+                row = np.full(x.shape, rows.index(int(batch_spec)))
+            pick = row[np.newaxis]
+            result = {
+                key: np.take_along_axis(value, pick, axis=0)[0]
+                for key, value in run.items()
+            }
             power = runtime_power_arrays(
                 sub, arch, grid, coeffs, n, noc_epb, result
             )
@@ -756,7 +762,7 @@ def simulate_workloads(
                 BatchOutcome(
                     workload=name,
                     batch_spec=batch_spec,
-                    batch=batch,
+                    batch=sizes[row],
                     achieved_tops=result["achieved_tops"],
                     utilization=result["utilization"],
                     latency_ms=result["latency_ms"],

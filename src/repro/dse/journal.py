@@ -482,23 +482,26 @@ def repair_tail(path: str | os.PathLike, is_damaged=None) -> int:
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.splitlines(keepends=True)
+    keep = len(data)
     removed = 0
     while lines:
         last = lines[-1]
         stripped = last.strip()
         if stripped and not is_damaged(stripped):
-            # Valid final line: just make sure it is newline-terminated so
-            # the next append starts a fresh record.
-            if not last.endswith(b"\n"):
-                lines[-1] = last + b"\n"
             break
         if stripped:
             removed += 1
-        lines.pop()  # damaged or blank tail line
-    repaired = b"".join(lines)
-    if repaired != data:
-        with open(path, "wb") as fh:
-            fh.write(repaired)
+        keep -= len(lines.pop())  # damaged or blank tail line
+    # Repair without rewriting: cut the file at the end of the last good
+    # line, then newline-terminate that line so the next append starts a
+    # fresh record.  A crash mid-repair leaves every complete record on
+    # disk, and an undamaged file is never opened for writing.
+    terminate = bool(lines) and not lines[-1].endswith(b"\n")
+    if keep < len(data) or terminate:
+        with open(path, "ab") as fh:
+            fh.truncate(keep)
+            if terminate:
+                fh.write(b"\n")
             fh.flush()
             os.fsync(fh.fileno())
     return removed

@@ -187,12 +187,14 @@ def evaluate_point(
             for name, graph in workloads:
                 with _stage("simulate"):
                     if batch_spec == "latency-bound":
-                        batch = simulator.latency_limited_batch(
+                        result = simulator.latency_limited_run(
                             graph, slo_ms=latency_slo_ms
                         )
                     else:
-                        batch = int(batch_spec)  # type: ignore[arg-type]
-                    result = simulator.run(graph, batch)
+                        result = simulator.run(
+                            graph, int(batch_spec)  # type: ignore[arg-type]
+                        )
+                batch = result.batch
                 with _stage("power"):
                     power = runtime_power(
                         chip, ctx, result.activity

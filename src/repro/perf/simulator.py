@@ -363,9 +363,22 @@ class Simulator:
         simply cannot meet the requirement, as the paper's wimpiest points
         cannot).
         """
+        return self.latency_limited_run(graph, slo_ms, candidates).batch
+
+    def latency_limited_run(
+        self,
+        graph: Graph,
+        slo_ms: float = DEFAULT_LATENCY_SLO_MS,
+        candidates: tuple[int, ...] = BATCH_CANDIDATES,
+    ) -> SimulationResult:
+        """The run at :meth:`latency_limited_batch`'s batch.
+
+        Scans the sorted candidates once and returns the winner's run,
+        so callers need not simulate the chosen batch a second time.
+        """
+        runs = {batch: self.run(graph, batch) for batch in sorted(candidates)}
         best = candidates[0]
-        for batch in sorted(candidates):
-            result = self.run(graph, batch)
+        for batch, result in runs.items():
             if result.latency_ms <= slo_ms:
                 best = batch
-        return best
+        return runs[best]

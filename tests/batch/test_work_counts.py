@@ -1,0 +1,72 @@
+"""Exact work counts for workload simulation.
+
+Wall time on a shared CI runner cannot be gated tightly, but how many
+simulations a sweep runs can be gated exactly.  The vector backend
+simulates each workload once, over every batch regime stacked on a
+leading axis; the scalar latency-bound search runs each batch candidate
+once and reuses the winner's run.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.batch.perf as batch_perf
+from repro.batch import BatchEstimator
+from repro.config.presets import datacenter_context
+from repro.dse.space import DesignPoint
+from repro.dse.sweep import evaluate_point
+from repro.perf.simulator import BATCH_CANDIDATES, Simulator
+from repro.workloads import inception_v3, mobilenet_v2, resnet50
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call bumps the returned counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "batches, per_workload", [((1, "latency-bound", 256), 1), ((), 0)]
+)
+def test_vector_sweep_simulates_each_workload_once(
+    monkeypatch, batches, per_workload
+):
+    workloads = [
+        ("ResNet", resnet50()),
+        ("Inception", inception_v3()),
+        ("MobileNet", mobilenet_v2()),
+    ]
+    points = [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)]
+    calls = _count_calls(monkeypatch, batch_perf, "simulate_graph_arrays")
+    estimator = BatchEstimator(datacenter_context(), use_cache=False)
+    result = estimator.estimate_points(
+        points, workloads=workloads, batches=batches
+    )
+    assert result.fallback_reasons == {}
+    for summary in result.summaries:
+        assert len(summary.outcomes) == len(batches) * len(workloads)
+    assert len(calls) == per_workload * len(workloads)
+
+
+@pytest.mark.parametrize(
+    "batches, per_workload",
+    [(("latency-bound",), len(BATCH_CANDIDATES)), ((), 0)],
+)
+def test_scalar_latency_bound_runs_each_candidate_once(
+    monkeypatch, batches, per_workload
+):
+    workloads = [("ResNet", resnet50()), ("MobileNet", mobilenet_v2())]
+    calls = _count_calls(monkeypatch, Simulator, "run")
+    result = evaluate_point(
+        DesignPoint(64, 2, 2, 4), workloads, batches, datacenter_context()
+    )
+    assert len(result.outcomes) == len(batches) * len(workloads)
+    assert len(calls) == per_workload * len(workloads)

@@ -6,10 +6,14 @@ else cannot come from a crash and must fail loudly rather than silently
 drop finished work.
 """
 
+import builtins
+import errno
 import json
+from contextlib import suppress
 
 import pytest
 
+from repro.dse import journal as journal_module
 from repro.dse.journal import (
     Journal,
     JournalEntry,
@@ -170,6 +174,56 @@ def test_repair_tail_terminates_a_valid_unterminated_line(tmp_path):
     _repair_tail(str(path))
     assert path.read_bytes().endswith(b"\n")
     assert [e.point.x for e in load_journal(path)] == [8]
+
+
+class _TornWriter:
+    """A writable file whose every write lands half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def _torn_open(path, mode="r", *args, **kwargs):
+    fh = builtins.open(path, mode, *args, **kwargs)
+    return _TornWriter(fh) if set(mode) & set("wa+") else fh
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data + b'{"kind": "point", "poi',  # torn tail
+        lambda data: data.rstrip(b"\n"),  # unterminated last record
+    ],
+    ids=["torn-tail", "unterminated"],
+)
+def test_failed_repair_write_keeps_every_complete_record(
+    tmp_path, monkeypatch, damage
+):
+    """A crash (here: a failing write) mid-repair must not lose records."""
+    path = tmp_path / "sweep.jsonl"
+    _write_journal(path, [_entry(8), _entry(16), _entry(32)])
+    path.write_bytes(damage(path.read_bytes()))
+
+    monkeypatch.setattr(journal_module, "open", _torn_open, raising=False)
+    with suppress(OSError):
+        repair_tail(path)
+    monkeypatch.undo()
+
+    assert [e.point.x for e in load_journal(path)] == [8, 16, 32]
 
 
 def test_empty_and_header_only_journals_resume_to_nothing(tmp_path):
