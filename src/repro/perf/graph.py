@@ -56,6 +56,8 @@ class Graph:
         )
         self._nodes["input"] = root
         self._order.append("input")
+        #: ``GraphSpec.of``'s memo, per ``OptimizationConfig``.
+        self._specs: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -92,6 +94,7 @@ class Graph:
         )
         self._nodes[name] = node
         self._order.append(name)
+        self._specs.clear()
         return node
 
     # -- queries ------------------------------------------------------------

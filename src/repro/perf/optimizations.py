@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.perf import scalar
 from repro.perf.ops import Gemm
 
 
@@ -75,19 +76,32 @@ _STEM_CHANNEL_BOUND = 16
 _FOLD = 2
 
 
-def apply_space_to_depth(
-    gemm: Gemm, input_channels: int, stride: int
-) -> Gemm:
-    """Space-to-depth on a stem convolution's GEMM.
+def folds_stem(input_channels: int, stride: int) -> bool:
+    """Whether space-to-depth rewrites a convolution's GEMM.
+
+    Only strided stems with few input channels fold; other GEMMs pass
+    through unchanged.
+    """
+    return not (input_channels > _STEM_CHANNEL_BOUND or stride < _FOLD)
+
+
+def fold_stem(m, k, xp):
+    """The folded stem GEMM's ``(M, K)``, over array namespace ``xp``.
 
     Folding a ``_FOLD x _FOLD`` spatial block into channels multiplies K by
     ``_FOLD^2`` and divides the spatial output dimension M by the same
     factor — the total MAC count is unchanged, but the deep K dimension now
-    fills the systolic array's rows.  Only sensible for strided stems with
-    few channels; other GEMMs pass through unchanged.
+    fills the systolic array's rows.
     """
-    if input_channels > _STEM_CHANNEL_BOUND or stride < _FOLD:
-        return gemm
     factor = _FOLD * _FOLD
-    new_m = max(1, gemm.m // factor)
-    return Gemm(m=new_m, k=gemm.k * factor, n=gemm.n)
+    return xp.maximum(1, xp.floor_divide(m, factor)), k * factor
+
+
+def apply_space_to_depth(
+    gemm: Gemm, input_channels: int, stride: int
+) -> Gemm:
+    """Space-to-depth on a stem convolution's GEMM (see :func:`fold_stem`)."""
+    if not folds_stem(input_channels, stride):
+        return gemm
+    m, k = fold_stem(gemm.m, gemm.k, scalar)
+    return Gemm(m=m, k=k, n=gemm.n)

@@ -4,7 +4,9 @@ Wall time on a shared CI runner cannot be gated tightly, but how many
 simulations a sweep runs can be gated exactly.  The vector backend
 simulates each workload once, over every batch regime stacked on a
 leading axis; the scalar latency-bound search runs each batch candidate
-once and reuses the winner's run.
+once and reuses the winner's run.  Both backends walk a graph's
+flattened ``GraphSpec``, memoized on the graph, so evaluating a second
+design point never costs a layer again.
 """
 
 from __future__ import annotations
@@ -16,8 +18,25 @@ from repro.batch import BatchEstimator
 from repro.config.presets import datacenter_context
 from repro.dse.space import DesignPoint
 from repro.dse.sweep import evaluate_point
+from repro.perf.graph import LayerNode
 from repro.perf.simulator import BATCH_CANDIDATES, Simulator
-from repro.workloads import inception_v3, mobilenet_v2, resnet50
+from repro.workloads import (
+    inception_v3,
+    mobilenet_v2,
+    nasnet_a_large,
+    resnet50,
+)
+
+#: The Fig. 10 recipe: the three datacenter CNNs at three batch regimes.
+FIG10_BATCHES = (1, "latency-bound", 256)
+
+
+def _fig10_workloads():
+    return [
+        ("ResNet", resnet50()),
+        ("Inception", inception_v3()),
+        ("NASNet", nasnet_a_large()),
+    ]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -45,7 +64,7 @@ def test_vector_sweep_simulates_each_workload_once(
         ("MobileNet", mobilenet_v2()),
     ]
     points = [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)]
-    calls = _count_calls(monkeypatch, batch_perf, "simulate_graph_arrays")
+    calls = _count_calls(monkeypatch, batch_perf, "walk_graph")
     estimator = BatchEstimator(datacenter_context(), use_cache=False)
     result = estimator.estimate_points(
         points, workloads=workloads, batches=batches
@@ -70,3 +89,31 @@ def test_scalar_latency_bound_runs_each_candidate_once(
     )
     assert len(result.outcomes) == len(batches) * len(workloads)
     assert len(calls) == per_workload * len(workloads)
+
+
+def test_second_scalar_evaluation_flattens_no_layer(monkeypatch):
+    workloads = _fig10_workloads()
+    ctx = datacenter_context()
+    evaluate_point(DesignPoint(64, 2, 2, 4), workloads, FIG10_BATCHES, ctx)
+    calls = _count_calls(monkeypatch, LayerNode, "cost")
+    result = evaluate_point(
+        DesignPoint(16, 1, 2, 2), workloads, FIG10_BATCHES, ctx
+    )
+    assert len(result.outcomes) == len(FIG10_BATCHES) * len(workloads)
+    assert len(calls) == 0
+
+
+def test_second_vector_estimate_flattens_no_layer(monkeypatch):
+    workloads = _fig10_workloads()
+    estimator = BatchEstimator(datacenter_context(), use_cache=False)
+    estimator.estimate_points(
+        [DesignPoint(64, 2, 2, 4)], workloads=workloads, batches=FIG10_BATCHES
+    )
+    calls = _count_calls(monkeypatch, LayerNode, "cost")
+    result = estimator.estimate_points(
+        [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)],
+        workloads=workloads,
+        batches=FIG10_BATCHES,
+    )
+    assert result.fallback_reasons == {}
+    assert len(calls) == 0

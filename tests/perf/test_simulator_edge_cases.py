@@ -9,10 +9,12 @@ from repro.arch.memory import OnChipMemoryConfig
 from repro.arch.tensor_unit import TensorUnitConfig
 from repro.config.presets import datacenter_context
 from repro.dse.space import DesignPoint
+from repro.perf import scalar
 from repro.perf.graph import Graph
-from repro.perf.ops import Activation, Conv2d, Elementwise
-from repro.perf.optimizations import OptimizationConfig
-from repro.perf.simulator import Simulator
+from repro.perf.mapping import ArchView, map_gemm
+from repro.perf.ops import Activation, Conv2d, Elementwise, Gemm
+from repro.perf.optimizations import OptimizationConfig, fold_stem
+from repro.perf.simulator import GraphSpec, Simulator
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +48,22 @@ def test_serialized_movement_without_double_buffering(chip, ctx):
 
 def test_space_to_depth_only_affects_the_stem(chip, ctx):
     graph = _stem_graph()
-    folded = Simulator(
-        chip, ctx, OptimizationConfig(space_to_depth=True)
-    )
-    plain = Simulator(
-        chip, ctx, OptimizationConfig(space_to_depth=False)
-    )
-    stem_layer = graph.node("stem")
-    folded_gemm = folded._layer_gemm(stem_layer, batch=1)
-    plain_gemm = plain._layer_gemm(stem_layer, batch=1)
+    arch = ArchView.of(chip, ctx)
+    gemms, mappings = {}, {}
+    for s2d in (True, False):
+        opt = OptimizationConfig(space_to_depth=s2d)
+        spec = GraphSpec.of(graph, opt)
+        assert [layer.space_to_depth for layer in spec.layers] == [s2d, False]
+        stem = spec.layers[0]
+        m, k = stem.gemm_m, stem.gemm_k
+        if stem.space_to_depth:
+            m, k = fold_stem(m, k, scalar)
+        gemms[s2d] = Gemm(m, k, stem.gemm_n)
+        mappings[s2d] = map_gemm(gemms[s2d], arch, opt)
+    folded_gemm, plain_gemm = gemms[True], gemms[False]
     assert folded_gemm.k == 4 * plain_gemm.k
     assert folded_gemm.macs == plain_gemm.macs
+    assert mappings[True].useful_macs == mappings[False].useful_macs
 
 
 def test_fusion_absorbs_cheap_activations(chip, ctx):
