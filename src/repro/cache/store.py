@@ -215,10 +215,12 @@ class EstimateCache:
         if self.disk_path is None:
             return
         target = self._disk_file(key)
-        tmp = f"{target}.{os.getpid()}.tmp"
+        # A unique temp name per write: threads of one process storing
+        # the same key must not write into one shared temp file.
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp"
         try:
             os.makedirs(os.path.dirname(target), exist_ok=True)
-            with open(tmp, "wb") as fh:
+            with open(tmp, "xb") as fh:
                 pickle.dump(value, fh)
             os.replace(tmp, target)
         except Exception:

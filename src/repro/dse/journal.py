@@ -30,6 +30,7 @@ import io
 import json
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -505,6 +506,31 @@ def repair_tail(path: str | os.PathLike, is_damaged=None) -> int:
             fh.flush()
             os.fsync(fh.fileno())
     return removed
+
+
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``, crash-safe.
+
+    The bytes go to a temp file in the target's directory, are fsynced,
+    and are renamed over the target, so a reader sees the old file or the
+    new one, never a torn mix.  Every write gets its own temp file (an
+    exclusive create under a random name), so concurrent writers — two
+    threads of one process included — never write into each other's;
+    a failed write removes its temp file.
+    """
+    target = os.fspath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _line_is_damaged(line: bytes) -> bool:

@@ -52,6 +52,7 @@ from repro.dse.engine import (
 )
 from repro.dse.journal import (
     JournalEntry,
+    atomic_write,
     journal_header,
     load_journal,
 )
@@ -284,13 +285,8 @@ class ShardManifest:
         parent = os.path.dirname(target)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        tmp = f"{target}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        atomic_write(target, (text + "\n").encode("utf-8"))
         return target
 
     @classmethod
@@ -475,13 +471,8 @@ class ShardLease:
         }
 
     def _write(self, payload: dict) -> None:
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        text = json.dumps(payload, sort_keys=True)
+        atomic_write(self.path, (text + "\n").encode("utf-8"))
 
     def acquire(self) -> "ShardLease":
         """Claim the shard, reclaiming an abandoned or complete lease.

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dse.journal import load_journal
+from repro.dse.journal import atomic_write, load_journal
 from repro.dse.seeding import derive_seed, resolve_seed
 from repro.dse.surrogate.features import (
     TARGET_NAMES,
@@ -311,12 +311,9 @@ class SurrogateModel:
             },
             "model": self,
         }
-        tmp = f"{target}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
+        atomic_write(
+            target, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        )
         return target
 
     @classmethod

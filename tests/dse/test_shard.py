@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -109,6 +110,50 @@ def test_manifest_roundtrips_through_disk(tmp_path):
     path = manifest.write(tmp_path / "m.json")
     loaded = ShardManifest.load(path)
     assert loaded == manifest
+
+
+def test_concurrent_manifest_writes_never_tear(tmp_path):
+    """Two threads rewrite one manifest while a third reads it.
+
+    Each write has its own temp file, so neither writer renames the
+    other's file away (``FileNotFoundError``) or publishes it half
+    written, and the reader only ever loads a whole manifest.
+    """
+    path = tmp_path / "m.json"
+    manifests = [build_manifest(POINTS, 2), build_manifest(POINTS[:5], 3)]
+    manifests[0].write(path)
+    errors, reads = [], []
+    writing = threading.Event()
+    writing.set()
+
+    def write(manifest):
+        try:
+            for _ in range(200):
+                manifest.write(path)
+        except Exception as error:
+            errors.append(error)
+
+    def read():
+        while writing.is_set():
+            try:
+                reads.append(ShardManifest.load(path))
+            except ConfigurationError as error:
+                errors.append(error)
+
+    writers = [
+        threading.Thread(target=write, args=(m,)) for m in manifests
+    ]
+    reader = threading.Thread(target=read)
+    reader.start()
+    for thread in writers:
+        thread.start()
+    for thread in writers:
+        thread.join()
+    writing.clear()
+    reader.join()
+    assert errors == []
+    assert reads and all(read in manifests for read in reads)
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 def test_digest_separates_recipes():
