@@ -1,7 +1,11 @@
 """GEMM tiling and scheduling onto the TU fleet."""
 
+import dataclasses
+
 import pytest
 
+from repro.arch.tensor_unit import Dataflow
+from repro.config.presets import eyeriss, eyeriss_context
 from repro.dse.space import DesignPoint
 from repro.arch.component import ModelContext
 from repro.errors import MappingError
@@ -24,6 +28,12 @@ def brawny(ctx) -> ArchView:
 @pytest.fixture(scope="module")
 def wimpy(ctx) -> ArchView:
     return ArchView.of(DesignPoint(8, 4, 4, 8).build(), ctx)
+
+
+@pytest.fixture(scope="module")
+def eyeriss_arch() -> ArchView:
+    """Eyeriss's 14x12 array: the one non-square tensor unit."""
+    return ArchView.of(eyeriss(), eyeriss_context())
 
 
 OPT = OptimizationConfig.all_on()
@@ -122,6 +132,19 @@ def test_mem_traffic_covers_operands(brawny):
     assert mapping.mem_write_bytes >= gemm.m * gemm.n
 
 
+@pytest.mark.parametrize("base", ["brawny", "eyeriss_arch"])
+def test_weight_stationary_compute_respects_peak(base, request):
+    arch = dataclasses.replace(
+        request.getfixturevalue(base), dataflow=Dataflow.WEIGHT_STATIONARY
+    )
+    gemm = Gemm(m=1000, k=1000, n=1000)
+    mapping = map_gemm(gemm, arch, OPT)
+    assert (
+        mapping.compute_cycles * arch.macs_per_cycle
+        >= mapping.useful_macs
+    )
+
+
 def test_occupied_cycles_at_least_useful(brawny):
     gemm = Gemm(m=128, k=128, n=128)
     mapping = map_gemm(gemm, brawny, OPT)
@@ -155,7 +178,12 @@ class TestOutputStationary:
         gemm = Gemm(m=300, k=300, n=300)
         assert map_gemm(gemm, os_arch, OPT).useful_macs == gemm.macs
 
-    def test_compute_respects_peak(self, os_arch):
+    @pytest.mark.parametrize("base", ["brawny", "eyeriss_arch"])
+    def test_compute_respects_peak(self, base, request):
+        os_arch = dataclasses.replace(
+            request.getfixturevalue(base),
+            dataflow=Dataflow.OUTPUT_STATIONARY,
+        )
         gemm = Gemm(m=1000, k=1000, n=1000)
         mapping = map_gemm(gemm, os_arch, OPT)
         assert (

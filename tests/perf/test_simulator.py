@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.config.presets import datacenter_context
+from repro.config.presets import (
+    datacenter_context,
+    eyeriss,
+    eyeriss_context,
+)
 from repro.dse.space import DesignPoint
 from repro.errors import MappingError
 from repro.perf.graph import Graph
@@ -51,6 +55,13 @@ def test_achieved_never_exceeds_peak(brawny_sim, resnet):
     for batch in (1, 16, 128):
         result = brawny_sim.run(resnet, batch)
         assert result.achieved_tops <= result.peak_tops * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 200])
+def test_non_square_array_never_exceeds_peak(resnet, batch):
+    # Eyeriss's 14x12 array: tiles span 14 of K and 12 of N.
+    result = Simulator(eyeriss(), eyeriss_context()).run(resnet, batch)
+    assert result.achieved_tops <= result.peak_tops
 
 
 def test_latency_grows_with_batch(brawny_sim, resnet):
