@@ -4,6 +4,7 @@ Per Sec. II-A the CDB connects the VReg with the TU(s), VU, and Mem.  Wires
 route around the functional components, so their length is estimated as the
 square root of the connected components' area; when the repeated-wire delay
 exceeds the cycle time, the bus is pipelined to preserve throughput.
+The closed forms broadcast over the bus width and the connected area.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
-from repro.circuit.dff import DffBank
+import numpy as np
+
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
+from repro.circuit.dff import dff_active_energy_pj, dff_area_mm2, dff_leakage_w
 from repro.errors import ConfigurationError
 from repro.tech import calibration
 from repro.tech.wire import (
@@ -22,7 +25,37 @@ from repro.tech.wire import (
     wire_params,
     wire_pipeline_stages,
 )
+from repro.tech.node import TechNode
 from repro.units import dynamic_power_w, um_to_mm
+
+
+def _transfer_energy_pj(tech: TechNode, width_bits, length_mm, stages):
+    """Energy to move one full bus word end to end."""
+    wire = wire_params(tech, WireType.INTERMEDIATE)
+    return width_bits * wire_energy_pj_per_bit(
+        tech, wire, length_mm
+    ) + dff_active_energy_pj(tech, width_bits * stages)
+
+
+def cdb_terms(ctx: ModelContext, width_bits, connected_area_mm2) -> Terms:
+    """Wire tracks plus the pipeline registers that meet the clock."""
+    tech = ctx.tech
+    wire = wire_params(tech, WireType.INTERMEDIATE)
+    length_mm = np.sqrt(connected_area_mm2)
+    stages = wire_pipeline_stages(tech, wire, length_mm, ctx.cycle_ns)
+    pipe_bits = width_bits * stages
+    energy = _transfer_energy_pj(tech, width_bits, length_mm, stages) * (
+        calibration.CLOCK_NETWORK_OVERHEAD
+    )
+    return Terms(
+        name="central data bus",
+        area_mm2=um_to_mm(width_bits * wire.pitch_um) * length_mm
+        + dff_area_mm2(tech, pipe_bits),
+        dynamic_w=dynamic_power_w(energy, ctx.freq_ghz)
+        * calibration.TDP_ACTIVITY["interconnect"],
+        leakage_w=dff_leakage_w(tech, pipe_bits),
+        cycle_time_ns=repeated_wire_delay_ns(tech, wire, length_mm) / stages,
+    )
 
 
 @dataclass(frozen=True)
@@ -63,37 +96,18 @@ class CentralDataBus:
 
     def transfer_energy_pj(self, ctx: ModelContext) -> float:
         """Energy to move one full bus word end to end."""
-        wire = wire_params(ctx.tech, WireType.INTERMEDIATE)
-        wire_energy = self.width_bits * wire_energy_pj_per_bit(
-            ctx.tech, wire, self.length_mm
+        return float(
+            _transfer_energy_pj(
+                ctx.tech,
+                self.width_bits,
+                self.length_mm,
+                self.pipeline_stages(ctx),
+            )
         )
-        pipes = DffBank(
-            "cdb-pipe", self.width_bits * self.pipeline_stages(ctx)
-        )
-        return wire_energy + pipes.energy_per_active_cycle_pj(ctx.tech)
-
-    def latency_ns(self, ctx: ModelContext) -> float:
-        """End-to-end propagation delay of the repeated bus."""
-        wire = wire_params(ctx.tech, WireType.INTERMEDIATE)
-        return repeated_wire_delay_ns(ctx.tech, wire, self.length_mm)
 
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Wire tracks plus pipeline registers."""
-        tech = ctx.tech
-        wire = wire_params(tech, WireType.INTERMEDIATE)
-        track_area = um_to_mm(self.width_bits * wire.pitch_um) * self.length_mm
-        pipes = DffBank(
-            "cdb-pipe", self.width_bits * self.pipeline_stages(ctx)
-        )
-        energy = self.transfer_energy_pj(ctx) * (
-            calibration.CLOCK_NETWORK_OVERHEAD
-        )
-        return Estimate(
-            name="central data bus",
-            area_mm2=track_area + pipes.area_mm2(tech),
-            dynamic_w=dynamic_power_w(energy, ctx.freq_ghz)
-            * calibration.TDP_ACTIVITY["interconnect"],
-            leakage_w=pipes.leakage_w(tech),
-            cycle_time_ns=self.latency_ns(ctx) / self.pipeline_stages(ctx),
-        )
+        return cdb_terms(
+            ctx, self.width_bits, self.connected_area_mm2
+        ).estimate()

@@ -9,13 +9,17 @@ Figs. 3-5 and Fig. 8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.arch.core import Core, CoreConfig
-from repro.arch.noc import NetworkOnChip, NocConfig, NocTopology
+from repro.arch.noc import (
+    NetworkOnChip,
+    NocConfig,
+    NocTopology,
+    node_pitch_mm,
+)
 from repro.arch.periph import (
     DmaController,
     DramKind,
@@ -26,6 +30,19 @@ from repro.arch.periph import (
 from repro.errors import ConfigurationError
 from repro.tech import calibration
 from repro.units import tops
+
+#: Table I's NoC rule: a ring up to this many cores, a 2D mesh beyond.
+RING_MAX_CORES = 4
+
+
+def whitespace_area_mm2(modeled_area_mm2, fraction: float):
+    """Area of the unknown blocks / white space around the modeled blocks."""
+    return modeled_area_mm2 * fraction / (1.0 - fraction)
+
+
+def thermal_design_power_w(dynamic_w, leakage_w):
+    """Guardbanded dynamic power plus leakage."""
+    return dynamic_w * calibration.CHIP_TDP_MARGIN + leakage_w
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,9 @@ class ChipConfig:
         """Resolved NoC topology (Table I's ring-vs-mesh rule)."""
         if self.noc_topology is not None:
             return self.noc_topology
-        return NocTopology.RING if self.cores <= 4 else NocTopology.MESH_2D
+        if self.cores <= RING_MAX_CORES:
+            return NocTopology.RING
+        return NocTopology.MESH_2D
 
     @property
     def macs_per_cycle(self) -> int:
@@ -99,8 +118,7 @@ class Chip:
 
     def noc(self, ctx: ModelContext) -> NetworkOnChip:
         """The inter-core network sized for this chip's floorplan."""
-        core_area = self.core.estimate(ctx).area_mm2
-        pitch = math.sqrt(max(core_area, 1e-6))
+        pitch = float(node_pitch_mm(self.core.estimate(ctx).area_mm2))
         noc_config = NocConfig(
             topology=self.config.topology,
             nodes_x=self.config.cores_x,
@@ -146,14 +164,13 @@ class Chip:
         children.append(cfg.dma.estimate(ctx))
 
         modeled = Estimate.compose("modeled blocks", children)
-        whitespace_area = (
-            modeled.area_mm2
-            * cfg.whitespace_fraction
-            / (1.0 - cfg.whitespace_fraction)
-        )
         whitespace = Estimate(
-            name="white space / unknown", area_mm2=whitespace_area,
-            dynamic_w=0.0, leakage_w=0.0,
+            name="white space / unknown",
+            area_mm2=whitespace_area_mm2(
+                modeled.area_mm2, cfg.whitespace_fraction
+            ),
+            dynamic_w=0.0,
+            leakage_w=0.0,
         )
         return Estimate.compose("chip", children + [whitespace])
 
@@ -167,10 +184,7 @@ class Chip:
     def tdp_w(self, ctx: ModelContext) -> float:
         """Thermal design power: guardbanded dynamic plus leakage."""
         estimate = self.estimate(ctx)
-        return (
-            estimate.dynamic_w * calibration.CHIP_TDP_MARGIN
-            + estimate.leakage_w
-        )
+        return thermal_design_power_w(estimate.dynamic_w, estimate.leakage_w)
 
     def max_freq_ghz(self, ctx: ModelContext) -> float:
         """Highest clock supported by the slowest component."""

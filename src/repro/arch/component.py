@@ -9,13 +9,20 @@ guardband.
 
 The :class:`ModelContext` carries the two globals every model needs: the
 technology node and the clock.
+
+Each component's closed forms are written once, as module functions that
+return :class:`Terms`: the component classes call them with one
+configuration's numbers and turn the terms into :class:`Estimate` nodes,
+and the batch kernels call them with arrays of design points.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, Optional, TypeVar
+
+import numpy as np
 
 from repro.cache.keys import stable_hash
 from repro.cache.store import get_estimate_cache
@@ -233,3 +240,40 @@ class Estimate:
     def power_shares(self) -> dict[str, float]:
         """Per-child total-power fractions (the paper's power ring charts)."""
         return self.share_of(lambda e: e.total_power_w)
+
+
+class Terms(NamedTuple):
+    """One estimate node's closed forms, as numbers or broadcast arrays.
+
+    The fields mirror :class:`Estimate`'s, without its validation, so the
+    same functions serve one configuration and a whole grid of points.
+    """
+
+    name: str
+    area_mm2: Any
+    dynamic_w: Any
+    leakage_w: Any
+    cycle_time_ns: Any = 0.0
+
+    def estimate(self) -> Estimate:
+        """The leaf :class:`Estimate` of one configuration's terms."""
+        return Estimate(
+            name=self.name,
+            area_mm2=float(self.area_mm2),
+            dynamic_w=float(self.dynamic_w),
+            leakage_w=float(self.leakage_w),
+            cycle_time_ns=float(self.cycle_time_ns),
+        )
+
+    @classmethod
+    def compose(cls, name: str, parts) -> "Terms":
+        """:meth:`Estimate.compose` over terms: the same sums, in order."""
+        return cls(
+            name=name,
+            area_mm2=0.0 + sum(part.area_mm2 for part in parts),
+            dynamic_w=0.0 + sum(part.dynamic_w for part in parts),
+            leakage_w=0.0 + sum(part.leakage_w for part in parts),
+            cycle_time_ns=functools.reduce(
+                np.maximum, [part.cycle_time_ns for part in parts], 0.0
+            ),
+        )

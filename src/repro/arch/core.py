@@ -25,6 +25,17 @@ from repro.errors import ConfigurationError
 from repro.units import tops
 
 
+def operand_bytes(units, width, input_bits):
+    """Operand bytes per cycle that ``units`` arrays ``width`` wide read."""
+    return (units * width * input_bits) // 8
+
+
+def mem_bandwidth_targets_gbps(operand_bytes_per_cycle, freq_ghz):
+    """Auto-filled Mem (read, write) targets: stream every TU's operands."""
+    operand_gbps = operand_bytes_per_cycle * freq_ghz
+    return operand_gbps, operand_gbps / 2.0
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """One accelerator core.
@@ -114,15 +125,13 @@ class CoreConfig:
         """Input operand stream the Mem must sustain at full compute."""
         total = 0
         if self.tu is not None:
-            total += (
-                self.tensor_units * self.tu.rows * self.tu.cell.input_dtype.bits
-            ) // 8
+            total += operand_bytes(
+                self.tensor_units, self.tu.rows, self.tu.cell.input_dtype.bits
+            )
         if self.rt is not None:
-            total += (
-                self.reduction_trees
-                * self.rt.inputs
-                * self.rt.input_dtype.bits
-            ) // 8
+            total += operand_bytes(
+                self.reduction_trees, self.rt.inputs, self.rt.input_dtype.bits
+            )
         return max(total, 1)
 
     def peak_tops(self, freq_ghz: float) -> float:
@@ -157,11 +166,13 @@ class Core:
     def memory(self, ctx: ModelContext) -> OnChipMemory:
         """The Mem slice with auto-filled bandwidth targets."""
         cfg = self.config.mem
-        operand_gbps = self.config.operand_bytes_per_cycle() * ctx.freq_ghz
+        read_gbps, write_gbps = mem_bandwidth_targets_gbps(
+            self.config.operand_bytes_per_cycle(), ctx.freq_ghz
+        )
         if cfg.read_bandwidth_gbps <= 0:
-            cfg = replace(cfg, read_bandwidth_gbps=operand_gbps)
+            cfg = replace(cfg, read_bandwidth_gbps=read_gbps)
         if cfg.write_bandwidth_gbps <= 0:
-            cfg = replace(cfg, write_bandwidth_gbps=operand_gbps / 2.0)
+            cfg = replace(cfg, write_bandwidth_gbps=write_gbps)
         return OnChipMemory(cfg)
 
     @cached_estimate

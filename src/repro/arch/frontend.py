@@ -11,8 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
-from repro.circuit.gates import LogicBlock
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
+from repro.circuit.gates import (
+    LogicBlock,
+    logic_area_mm2,
+    logic_delay_ns,
+    logic_energy_pj,
+    logic_leakage_w,
+)
 from repro.circuit.sram import SramArray
 from repro.errors import ConfigurationError
 from repro.tech import calibration
@@ -68,6 +74,26 @@ class InstructionFetchUnit:
         )
 
 
+def lsu_terms(ctx: ModelContext, queue_entries: int, datapath_bytes) -> Terms:
+    """Descriptor queue plus datapath control; ``datapath_bytes`` broadcasts."""
+    tech = ctx.tech
+    gates = (
+        queue_entries * LSU_GATES_PER_QUEUE_ENTRY
+        + datapath_bytes * 8 * LSU_DATAPATH_GATES_PER_BIT
+    )
+    energy = logic_energy_pj(tech, gates, 0.15) * (
+        calibration.CLOCK_NETWORK_OVERHEAD
+    )
+    return Terms(
+        name="load-store unit",
+        area_mm2=logic_area_mm2(tech, gates),
+        dynamic_w=dynamic_power_w(energy, ctx.freq_ghz)
+        * calibration.TDP_ACTIVITY["control"],
+        leakage_w=logic_leakage_w(tech, gates),
+        cycle_time_ns=logic_delay_ns(tech),
+    )
+
+
 @dataclass(frozen=True)
 class LoadStoreUnit:
     """Data movement engine between Mem, the EXU, and off-chip memory.
@@ -85,26 +111,9 @@ class LoadStoreUnit:
         if self.queue_entries < 1 or self.datapath_bytes < 1:
             raise ConfigurationError("LSU sizes must be positive")
 
-    def _control(self) -> LogicBlock:
-        gates = (
-            self.queue_entries * LSU_GATES_PER_QUEUE_ENTRY
-            + self.datapath_bytes * 8 * LSU_DATAPATH_GATES_PER_BIT
-        )
-        return LogicBlock("lsu-ctrl", gates, activity=0.15)
-
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Descriptor queue plus datapath control."""
-        tech = ctx.tech
-        control = self._control()
-        energy = control.energy_per_cycle_pj(tech) * (
-            calibration.CLOCK_NETWORK_OVERHEAD
-        )
-        return Estimate(
-            name="load-store unit",
-            area_mm2=control.area_mm2(tech),
-            dynamic_w=dynamic_power_w(energy, ctx.freq_ghz)
-            * calibration.TDP_ACTIVITY["control"],
-            leakage_w=control.leakage_w(tech),
-            cycle_time_ns=control.delay_ns(tech),
-        )
+        return lsu_terms(
+            ctx, self.queue_entries, self.datapath_bytes
+        ).estimate()

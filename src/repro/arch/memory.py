@@ -6,19 +6,41 @@ read/write ports (this is how NeuroMeter "automatically searched" TPU-v2's
 two-read-one-write VMem banking).  The cell type is selectable between
 DFF, SRAM, and eDRAM, and the structure may be unified (TPU-v1's unified
 buffer) or dedicated (Eyeriss's per-function banks).
+
+The SRAM/eDRAM rollup is one function of the chosen organization, which
+may be an :class:`~repro.circuit.sram.SramArray` or an array
+:class:`~repro.circuit.sram.Organization`: the batch kernels evaluate it
+over the organizations their lattice search picks for a whole grid.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
+import numpy as np
+
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
 from repro.circuit.dff import DffBank
-from repro.circuit.edram import EdramArray
-from repro.circuit.gates import LogicBlock
-from repro.circuit.sram import SramArray, SramRequirements, optimize_sram
+from repro.circuit.edram import (
+    edram_access_latency_ns,
+    edram_area_mm2,
+    edram_leakage_w,
+    edram_read_energy_pj,
+    edram_write_energy_pj,
+)
+from repro.circuit.gates import logic_area_mm2, logic_energy_pj, logic_leakage_w
+from repro.circuit.sram import (
+    SramArray,
+    SramRequirements,
+    optimize_sram,
+    sram_access_latency_ns,
+    sram_area_mm2,
+    sram_leakage_w,
+    sram_read_energy_pj,
+    sram_write_energy_pj,
+)
 from repro.errors import ConfigurationError
 from repro.tech import calibration
 from repro.units import dynamic_power_w
@@ -39,6 +61,92 @@ class MemCellKind(enum.Enum):
     SRAM = "sram"
     EDRAM = "edram"
     DFF = "dff"
+
+
+class ArrayModel(NamedTuple):
+    """The array closed forms of one cell kind, each ``f(tech, org)``."""
+
+    area_mm2: Callable
+    read_energy_pj: Callable
+    write_energy_pj: Callable
+    leakage_w: Callable
+    access_latency_ns: Callable
+
+
+#: Array physics per cell kind (DFF Mems are flop banks, not arrays).
+ARRAY_MODELS = {
+    MemCellKind.SRAM: ArrayModel(
+        sram_area_mm2,
+        sram_read_energy_pj,
+        sram_write_energy_pj,
+        sram_leakage_w,
+        sram_access_latency_ns,
+    ),
+    MemCellKind.EDRAM: ArrayModel(
+        edram_area_mm2,
+        edram_read_energy_pj,
+        edram_write_energy_pj,
+        edram_leakage_w,
+        edram_access_latency_ns,
+    ),
+}
+
+
+def array_memory_terms(
+    ctx: ModelContext,
+    org,
+    cell: MemCellKind,
+    read_energy_pj,
+    write_energy_pj,
+    read_bandwidth_gbps,
+    write_bandwidth_gbps,
+    latency_cycles: int,
+    scratchpad: bool = True,
+) -> Terms:
+    """An SRAM or eDRAM Mem of organization ``org``, at the TDP access rate.
+
+    ``org`` is an :class:`SramArray` or an array ``Organization``; the
+    per-access energies (its ``ARRAY_MODELS`` ones, which runtime power
+    also reads) and the bandwidth targets broadcast with it.  A cache
+    (``scratchpad`` false) adds its tag logic.
+    """
+    tech = ctx.tech
+    model = ARRAY_MODELS[cell]
+    # TDP traffic: sustain the configured bandwidth targets (what the
+    # compute units actually demand), bounded by the physical ports.
+    bytes_per_cycle = org.block_bytes * ctx.freq_ghz
+    reads_per_cycle = np.minimum(
+        np.maximum(read_bandwidth_gbps / bytes_per_cycle, 1.0),
+        org.banks * org.read_ports,
+    )
+    writes_per_cycle = np.minimum(
+        np.maximum(write_bandwidth_gbps / bytes_per_cycle, 0.5),
+        org.banks * org.write_ports,
+    )
+    energy = (
+        reads_per_cycle * read_energy_pj + writes_per_cycle * write_energy_pj
+    )
+    control_gates = BANK_CONTROL_GATES * org.banks
+    area = model.area_mm2(tech, org) + logic_area_mm2(tech, control_gates)
+    leak = model.leakage_w(tech, org) + logic_leakage_w(tech, control_gates)
+    energy += logic_energy_pj(tech, control_gates)
+    if not scratchpad:
+        tag_gates = (
+            org.capacity_bytes // org.block_bytes * CACHE_TAG_BITS_PER_BLOCK // 2
+        )
+        area += logic_area_mm2(tech, tag_gates)
+        leak += logic_leakage_w(tech, tag_gates)
+        energy += logic_energy_pj(tech, tag_gates, 0.2)
+    return Terms(
+        name="on-chip memory",
+        area_mm2=area,
+        dynamic_w=dynamic_power_w(
+            energy * calibration.CLOCK_NETWORK_OVERHEAD, ctx.freq_ghz
+        )
+        * calibration.TDP_ACTIVITY["memory"],
+        leakage_w=leak,
+        cycle_time_ns=model.access_latency_ns(tech, org) / latency_cycles,
+    )
 
 
 @dataclass(frozen=True)
@@ -131,31 +239,28 @@ class OnChipMemory:
             )
         return organization
 
-    def _array(self, ctx: ModelContext):
-        organization = self.organization(ctx)
-        if self.config.cell is MemCellKind.EDRAM:
-            return EdramArray(organization)
-        return organization
-
     # -- per-access quantities (used by the runtime power model) ------------
 
     def read_energy_pj(self, ctx: ModelContext) -> float:
         """Energy of one block read."""
         if self.config.cell is MemCellKind.DFF:
             return self._dff_bank().energy_per_active_cycle_pj(ctx.tech) * 0.5
-        return self._array(ctx).read_energy_pj(ctx.tech)
+        model = ARRAY_MODELS[self.config.cell]
+        return float(model.read_energy_pj(ctx.tech, self.organization(ctx)))
 
     def write_energy_pj(self, ctx: ModelContext) -> float:
         """Energy of one block write."""
         if self.config.cell is MemCellKind.DFF:
             return self._dff_bank().energy_per_active_cycle_pj(ctx.tech)
-        return self._array(ctx).write_energy_pj(ctx.tech)
+        model = ARRAY_MODELS[self.config.cell]
+        return float(model.write_energy_pj(ctx.tech, self.organization(ctx)))
 
     def access_latency_ns(self, ctx: ModelContext) -> float:
         """Random-access read latency."""
         if self.config.cell is MemCellKind.DFF:
             return self._dff_bank().setup_plus_clk_to_q_ns(ctx.tech)
-        return self._array(ctx).access_latency_ns(ctx.tech)
+        model = ARRAY_MODELS[self.config.cell]
+        return float(model.access_latency_ns(ctx.tech, self.organization(ctx)))
 
     def peak_read_bandwidth_gbps(self, ctx: ModelContext) -> float:
         """Aggregate read bandwidth of the chosen organization."""
@@ -168,69 +273,34 @@ class OnChipMemory:
     def _dff_bank(self) -> DffBank:
         return DffBank("mem-dff", self.config.capacity_bytes * 8)
 
-    def _tag_overhead(self, ctx: ModelContext) -> Optional[LogicBlock]:
-        if self.config.scratchpad:
-            return None
-        blocks = self.config.capacity_bytes // self.config.block_bytes
-        tag_gates = blocks * CACHE_TAG_BITS_PER_BLOCK // 2
-        return LogicBlock("mem-tags", tag_gates, activity=0.2)
-
     # -- rollup ------------------------------------------------------------
 
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Full Mem estimate, sized at the TDP access rate."""
         tech = ctx.tech
-        activity = calibration.TDP_ACTIVITY["memory"]
-        overhead = calibration.CLOCK_NETWORK_OVERHEAD
-
-        if self.config.cell is MemCellKind.DFF:
+        cfg = self.config
+        if cfg.cell is MemCellKind.DFF:
             bank = self._dff_bank()
             return Estimate(
                 name="on-chip memory",
                 area_mm2=bank.area_mm2(tech) * 1.15,
                 dynamic_w=dynamic_power_w(
-                    bank.energy_per_active_cycle_pj(tech) * overhead,
+                    bank.energy_per_active_cycle_pj(tech)
+                    * calibration.CLOCK_NETWORK_OVERHEAD,
                     ctx.freq_ghz,
                 )
-                * activity,
+                * calibration.TDP_ACTIVITY["memory"],
                 leakage_w=bank.leakage_w(tech),
             )
-
-        array = self._array(ctx)
-        organization = self.organization(ctx)
-        # TDP traffic: sustain the configured bandwidth targets (what the
-        # compute units actually demand), bounded by the physical ports.
-        bytes_per_cycle = self.config.block_bytes * ctx.freq_ghz
-        reads_per_cycle = min(
-            max(self.config.read_bandwidth_gbps / bytes_per_cycle, 1.0),
-            organization.banks * organization.read_ports,
-        )
-        writes_per_cycle = min(
-            max(self.config.write_bandwidth_gbps / bytes_per_cycle, 0.5),
-            organization.banks * organization.write_ports,
-        )
-        energy = (
-            reads_per_cycle * array.read_energy_pj(tech)
-            + writes_per_cycle * array.write_energy_pj(tech)
-        )
-        control = LogicBlock(
-            "mem-ctrl", BANK_CONTROL_GATES * organization.banks
-        )
-        tags = self._tag_overhead(ctx)
-        area = array.area_mm2(tech) + control.area_mm2(tech)
-        leak = array.leakage_w(tech) + control.leakage_w(tech)
-        energy += control.energy_per_cycle_pj(tech)
-        if tags is not None:
-            area += tags.area_mm2(tech)
-            leak += tags.leakage_w(tech)
-            energy += tags.energy_per_cycle_pj(tech)
-        return Estimate(
-            name="on-chip memory",
-            area_mm2=area,
-            dynamic_w=dynamic_power_w(energy * overhead, ctx.freq_ghz)
-            * activity,
-            leakage_w=leak,
-            cycle_time_ns=array.access_latency_ns(tech)
-            / self.config.latency_cycles,
-        )
+        return array_memory_terms(
+            ctx,
+            self.organization(ctx),
+            cfg.cell,
+            self.read_energy_pj(ctx),
+            self.write_energy_pj(ctx),
+            cfg.read_bandwidth_gbps,
+            cfg.write_bandwidth_gbps,
+            cfg.latency_cycles,
+            cfg.scratchpad,
+        ).estimate()

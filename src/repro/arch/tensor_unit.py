@@ -8,23 +8,34 @@ and (3) DFF-based I/O FIFOs.  Two inner-TU interconnects are modeled:
   weight-stationary and output-stationary dataflows, and
 * ``MULTICAST`` — X/Y buses from the I/O FIFOs to every cell (Eyeriss
   style), whose bus is abstracted into the pi-RC model for timing.
+
+The closed forms are module functions of the cell configuration and the
+array shape; ``rows`` and ``cols`` broadcast, so the batch kernels
+evaluate the same functions over whole grids of TU lengths.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
-from repro.circuit.dff import DffBank
-from repro.circuit.gates import LogicBlock
+import numpy as np
+
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
+from repro.circuit.dff import (
+    DffBank,
+    dff_active_energy_pj,
+    dff_area_mm2,
+    dff_leakage_w,
+)
+from repro.circuit.gates import logic_energy_pj, logic_leakage_w
 from repro.circuit.mac import MacModel
 from repro.circuit.rc import ladder_delay_ns
 from repro.circuit.sram import SramArray
 from repro.datatypes import INT8, DataType
 from repro.errors import ConfigurationError
 from repro.tech import calibration
+from repro.tech.node import TechNode
 from repro.tech.wire import WireType, wire_energy_pj_per_bit, wire_params
 from repro.units import (
     dynamic_power_w,
@@ -132,6 +143,218 @@ class TensorUnitConfig:
         return self.rows + self.cols
 
 
+# -- closed forms (``rows``/``cols`` broadcast) ----------------------------
+
+
+def _spad(cell: SystolicCellConfig) -> SramArray:
+    spad_bytes = cell.spad_bytes
+    return SramArray(
+        capacity_bytes=max(spad_bytes, 8),
+        block_bytes=2,
+        banks=1,
+        subarray_rows=max(8, min(64, spad_bytes // 2 or 8)),
+    )
+
+
+def _span_wiring_factor(rows, cols):
+    """Extra per-cell track overhead for operand/clock spines.
+
+    Grows with the array span: distributing operands across a 256x256
+    array needs far more wiring per cell than across a 14x12 one.
+    """
+    return 1.0 + calibration.ARRAY_SPAN_WIRING_COEF * (rows + cols)
+
+
+def _span_energy_factor(rows, cols):
+    """Operand-delivery energy scaling with the array span.
+
+    Normalized to 1.0 at the TPU-v1 anchor span (512 = 256 + 256), so
+    the chip-level calibration is untouched; smaller arrays move
+    operands over shorter spines and pay less per cell.
+    """
+    floor = calibration.ARRAY_SPAN_ENERGY_FLOOR
+    scale = np.minimum((rows + cols) / calibration.ARRAY_SPAN_ENERGY_NORM, 2.0)
+    return floor + (1.0 - floor) * scale
+
+
+def cell_area_mm2(tech: TechNode, cell: SystolicCellConfig, rows, cols):
+    """Area of one systolic cell including intra-array routing."""
+    area_um2 = cell.mac.area_um2(tech)
+    area_um2 += cell.pipeline_bits * tech.dff_area_um2
+    # Local register storage uses dense custom register-file cells, not
+    # standard-cell flops (Eyeriss-style PEs carry 72 B of these).
+    area_um2 += cell.reg_bytes * 8 * tech.sram_cell_um2 * 6.0
+    area_um2 += cell.control_gates * tech.gate_area_um2
+    if cell.spad_bytes:
+        area_um2 += mm2_to_um2(_spad(cell).area_mm2(tech))
+    return (
+        um2_to_mm2(area_um2)
+        * calibration.DATAPATH_ROUTING_OVERHEAD
+        * _span_wiring_factor(rows, cols)
+    )
+
+
+def cell_energy_pj(tech: TechNode, cell: SystolicCellConfig) -> float:
+    """Energy of one cell doing one MAC step (registers included)."""
+    energy = cell.mac.energy_per_mac_pj(tech)
+    energy += dff_active_energy_pj(tech, cell.pipeline_bits)
+    if cell.reg_bytes:
+        # Dense RF storage: ~two word accesses per MAC step, not a
+        # whole-bank toggle.
+        word_bits = cell.input_dtype.bits
+        energy += fj_to_pj(2 * word_bits * tech.dff_energy_fj * 0.4)
+    if cell.spad_bytes:
+        spad = _spad(cell)
+        # One small-word read + write per MAC step on average.
+        energy += 0.5 * (spad.read_energy_pj(tech) + spad.write_energy_pj(tech))
+    energy += logic_energy_pj(tech, cell.control_gates, 0.2)
+    return energy
+
+
+def _cell_leakage_w(tech: TechNode, cell: SystolicCellConfig) -> float:
+    leakage = cell.mac.leakage_w(tech)
+    leakage += dff_leakage_w(tech, cell.pipeline_bits)
+    leakage += cell.reg_bytes * 8 * tech.sram_bit_leak_nw * 2e-9
+    leakage += logic_leakage_w(tech, cell.control_gates)
+    if cell.spad_bytes:
+        leakage += _spad(cell).leakage_w(tech)
+    return leakage
+
+
+def _fifo_bits(config: TensorUnitConfig, rows, cols):
+    """I/O FIFO flops: one input lane per row, operand + psum per column."""
+    in_bits = config.cell.input_dtype.bits
+    out_bits = config.cell.mac.accum_dtype.bits
+    lane_bits = rows * in_bits + cols * (in_bits + out_bits)
+    return lane_bits * config.fifo_depth
+
+
+def _interconnect_energy_pj(
+    tech: TechNode, config: TensorUnitConfig, rows, cols, pitch_mm
+):
+    """Per-cycle energy of the inner-TU interconnect at full activity."""
+    wire = wire_params(tech, WireType.LOCAL)
+    in_bits = config.cell.input_dtype.bits
+    out_bits = config.cell.mac.accum_dtype.bits
+    if config.interconnect is InterconnectKind.UNICAST:
+        # Operands hop one pitch right, partial sums one pitch down.
+        hops = rows * cols * (in_bits + out_bits)
+        return hops * wire_energy_pj_per_bit(tech, wire, pitch_mm)
+    # Multicast: each row/column bus spans the array; one operand
+    # delivery drives the full bus.
+    row_bus_mm = cols * pitch_mm
+    col_bus_mm = rows * pitch_mm
+    avg_bus_mm = (row_bus_mm + col_bus_mm) / 2.0
+    bus = rows * in_bits * wire_energy_pj_per_bit(
+        tech, wire, row_bus_mm
+    ) + cols * in_bits * wire_energy_pj_per_bit(tech, wire, col_bus_mm)
+    # Output collection over the average bus span.
+    bus += cols * out_bits * wire_energy_pj_per_bit(tech, wire, avg_bus_mm)
+    return bus
+
+
+def multicast_bus_delay_ns(tech: TechNode, rows, cols, pitch_mm):
+    """Elmore delay of the longest X/Y multicast bus (pi-RC segments).
+
+    The FIFO output driver is the source resistance and every cell tap
+    adds a gate load along the distributed wire, exactly the
+    decomposition of Fig. 2(d).
+    """
+    wire = wire_params(tech, WireType.LOCAL)
+    span = np.maximum(rows, cols)
+    length_mm = span * pitch_mm
+    taps_ff = span * tech.gate_cap_ff * 2.0
+    return ladder_delay_ns(
+        total_resistance_ohm=length_mm * wire.r_ohm_per_mm,
+        total_capacitance_ff=length_mm * wire.c_ff_per_mm + taps_ff,
+        driver_ohm=1_500.0,
+    )
+
+
+def energy_per_active_cycle_pj(
+    tech: TechNode, config: TensorUnitConfig, rows, cols
+):
+    """Whole-TU energy on a fully active cycle (clock tree included).
+
+    ``config`` supplies the cell, FIFO depth and interconnect; ``rows``
+    and ``cols`` (numbers or arrays) give the array shape.
+    """
+    pitch_mm = np.sqrt(cell_area_mm2(tech, config.cell, rows, cols))
+    cells = rows * cols * cell_energy_pj(tech, config.cell)
+    fifo = dff_active_energy_pj(tech, _fifo_bits(config, rows, cols))
+    wires = _interconnect_energy_pj(tech, config, rows, cols, pitch_mm)
+    return (
+        (cells * _span_energy_factor(rows, cols) + fifo + wires)
+        * calibration.CLOCK_NETWORK_OVERHEAD
+    )
+
+
+def tensor_unit_terms(
+    ctx: ModelContext, config: TensorUnitConfig, rows, cols
+) -> tuple[Terms, Terms, Terms]:
+    """Cell array, I/O FIFO and inner-TU interconnect of one TU.
+
+    ``config`` supplies everything but the array shape, which ``rows``
+    and ``cols`` give (numbers or arrays).
+    """
+    tech = ctx.tech
+    cell = config.cell
+    activity = calibration.TDP_ACTIVITY["compute"]
+    overhead = calibration.CLOCK_NETWORK_OVERHEAD
+    macs = rows * cols
+    cell_mm2 = cell_area_mm2(tech, cell, rows, cols)
+    pitch_mm = np.sqrt(cell_mm2)
+
+    array = Terms(
+        name="systolic cells",
+        area_mm2=macs * cell_mm2,
+        dynamic_w=dynamic_power_w(
+            macs
+            * cell_energy_pj(tech, cell)
+            * _span_energy_factor(rows, cols)
+            * overhead,
+            ctx.freq_ghz,
+        )
+        * activity,
+        leakage_w=macs * _cell_leakage_w(tech, cell),
+        cycle_time_ns=cell.mac.delay_ns(tech)
+        + DffBank("sc", 1).setup_plus_clk_to_q_ns(tech),
+    )
+
+    fifo_bits = _fifo_bits(config, rows, cols)
+    fifo = Terms(
+        name="io fifo",
+        area_mm2=dff_area_mm2(tech, fifo_bits) * FIFO_PLACEMENT_OVERHEAD,
+        dynamic_w=dynamic_power_w(
+            dff_active_energy_pj(tech, fifo_bits) * overhead, ctx.freq_ghz
+        )
+        * activity,
+        leakage_w=dff_leakage_w(tech, fifo_bits),
+    )
+
+    wire = wire_params(tech, WireType.LOCAL)
+    in_bits = cell.input_dtype.bits
+    out_bits = cell.mac.accum_dtype.bits
+    track_mm2 = um_to_mm(wire.pitch_um) * pitch_mm
+    interconnect = Terms(
+        name="inner-tu interconnect",
+        area_mm2=macs * (in_bits + out_bits) * track_mm2,
+        dynamic_w=dynamic_power_w(
+            _interconnect_energy_pj(tech, config, rows, cols, pitch_mm)
+            * overhead,
+            ctx.freq_ghz,
+        )
+        * calibration.TDP_ACTIVITY["interconnect"],
+        leakage_w=0.0,
+        cycle_time_ns=(
+            multicast_bus_delay_ns(tech, rows, cols, pitch_mm)
+            if config.interconnect is InterconnectKind.MULTICAST
+            else 0.0
+        ),
+    )
+    return array, fifo, interconnect
+
+
 class TensorUnit:
     """Analytical power/area/timing model of one tensor unit."""
 
@@ -140,129 +363,22 @@ class TensorUnit:
 
     # -- geometry ------------------------------------------------------------
 
-    def _spad(self) -> SramArray:
-        spad_bytes = self.config.cell.spad_bytes
-        return SramArray(
-            capacity_bytes=max(spad_bytes, 8),
-            block_bytes=2,
-            banks=1,
-            subarray_rows=max(8, min(64, spad_bytes // 2 or 8)),
-        )
-
-    def _span_wiring_factor(self) -> float:
-        """Extra per-cell track overhead for operand/clock spines.
-
-        Grows with the array span: distributing operands across a 256x256
-        array needs far more wiring per cell than across a 14x12 one.
-        """
-        span = self.config.rows + self.config.cols
-        return 1.0 + calibration.ARRAY_SPAN_WIRING_COEF * span
-
     def cell_area_mm2(self, ctx: ModelContext) -> float:
         """Area of one systolic cell including intra-array routing."""
-        cfg = self.config.cell
-        area_um2 = cfg.mac.area_um2(ctx.tech)
-        area_um2 += cfg.pipeline_bits * ctx.tech.dff_area_um2
-        # Local register storage uses dense custom register-file cells, not
-        # standard-cell flops (Eyeriss-style PEs carry 72 B of these).
-        area_um2 += cfg.reg_bytes * 8 * ctx.tech.sram_cell_um2 * 6.0
-        area_um2 += cfg.control_gates * ctx.tech.gate_area_um2
-        if cfg.spad_bytes:
-            area_um2 += mm2_to_um2(self._spad().area_mm2(ctx.tech))
-        return (
-            um2_to_mm2(area_um2)
-            * calibration.DATAPATH_ROUTING_OVERHEAD
-            * self._span_wiring_factor()
-        )
-
-    def cell_pitch_mm(self, ctx: ModelContext) -> float:
-        """Edge length of one (square) systolic cell."""
-        return math.sqrt(self.cell_area_mm2(ctx))
+        cfg = self.config
+        return float(cell_area_mm2(ctx.tech, cfg.cell, cfg.rows, cfg.cols))
 
     def array_area_mm2(self, ctx: ModelContext) -> float:
         """Area of the cell array alone."""
         return self.config.macs * self.cell_area_mm2(ctx)
 
-    def _fifo(self) -> DffBank:
-        cfg = self.config
-        in_bits = cfg.cell.input_dtype.bits
-        out_bits = cfg.cell.mac.accum_dtype.bits
-        lane_bits = cfg.rows * in_bits + cfg.cols * (in_bits + out_bits)
-        return DffBank("tu-io-fifo", lane_bits * cfg.fifo_depth)
-
     # -- energy ------------------------------------------------------------
-
-    def cell_energy_pj(self, ctx: ModelContext) -> float:
-        """Energy of one cell doing one MAC step (registers included)."""
-        cfg = self.config.cell
-        energy = cfg.mac.energy_per_mac_pj(ctx.tech)
-        pipeline = DffBank("sc-pipe", cfg.pipeline_bits)
-        energy += pipeline.energy_per_active_cycle_pj(ctx.tech)
-        if cfg.reg_bytes:
-            # Dense RF storage: ~two word accesses per MAC step, not a
-            # whole-bank toggle.
-            word_bits = cfg.input_dtype.bits
-            energy += fj_to_pj(
-                2 * word_bits * ctx.tech.dff_energy_fj * 0.4
-            )
-        if cfg.spad_bytes:
-            spad = self._spad()
-            # One small-word read + write per MAC step on average.
-            energy += 0.5 * (
-                spad.read_energy_pj(ctx.tech) + spad.write_energy_pj(ctx.tech)
-            )
-        energy += LogicBlock(
-            "sc-ctrl", cfg.control_gates, activity=0.2
-        ).energy_per_cycle_pj(ctx.tech)
-        return energy
-
-    def _interconnect_energy_pj(self, ctx: ModelContext) -> float:
-        """Per-cycle energy of the inner-TU interconnect at full activity."""
-        cfg = self.config
-        wire = wire_params(ctx.tech, WireType.LOCAL)
-        pitch = self.cell_pitch_mm(ctx)
-        in_bits = cfg.cell.input_dtype.bits
-        out_bits = cfg.cell.mac.accum_dtype.bits
-        if cfg.interconnect is InterconnectKind.UNICAST:
-            # Operands hop one pitch right, partial sums one pitch down.
-            hops = cfg.macs * (in_bits + out_bits)
-            return hops * wire_energy_pj_per_bit(ctx.tech, wire, pitch)
-        # Multicast: each row/column bus spans the array; one operand
-        # delivery drives the full bus.
-        row_bus_mm = cfg.cols * pitch
-        col_bus_mm = cfg.rows * pitch
-        avg_bus_mm = (row_bus_mm + col_bus_mm) / 2.0
-        bus = cfg.rows * in_bits * wire_energy_pj_per_bit(
-            ctx.tech, wire, row_bus_mm
-        ) + cfg.cols * in_bits * wire_energy_pj_per_bit(
-            ctx.tech, wire, col_bus_mm
-        )
-        # Output collection over the average bus span.
-        bus += cfg.cols * out_bits * wire_energy_pj_per_bit(
-            ctx.tech, wire, avg_bus_mm
-        )
-        return bus
-
-    def _span_energy_factor(self) -> float:
-        """Operand-delivery energy scaling with the array span.
-
-        Normalized to 1.0 at the TPU-v1 anchor span (512 = 256 + 256), so
-        the chip-level calibration is untouched; smaller arrays move
-        operands over shorter spines and pay less per cell.
-        """
-        span = self.config.rows + self.config.cols
-        floor = calibration.ARRAY_SPAN_ENERGY_FLOOR
-        scale = min(span / calibration.ARRAY_SPAN_ENERGY_NORM, 2.0)
-        return floor + (1.0 - floor) * scale
 
     def energy_per_active_cycle_pj(self, ctx: ModelContext) -> float:
         """Whole-TU energy on a fully active cycle (clock tree included)."""
-        cells = self.config.macs * self.cell_energy_pj(ctx)
-        fifo = self._fifo().energy_per_active_cycle_pj(ctx.tech)
-        wires = self._interconnect_energy_pj(ctx)
-        return (
-            (cells * self._span_energy_factor() + fifo + wires)
-            * calibration.CLOCK_NETWORK_OVERHEAD
+        cfg = self.config
+        return float(
+            energy_per_active_cycle_pj(ctx.tech, cfg, cfg.rows, cfg.cols)
         )
 
     def energy_per_mac_pj(self, ctx: ModelContext) -> float:
@@ -273,30 +389,14 @@ class TensorUnit:
 
     def cycle_time_ns(self, ctx: ModelContext) -> float:
         """Minimum clock period of the TU."""
-        cfg = self.config
-        cell_ns = cfg.cell.mac.delay_ns(ctx.tech) + DffBank(
-            "sc-pipe", 1
-        ).setup_plus_clk_to_q_ns(ctx.tech)
-        if cfg.interconnect is InterconnectKind.UNICAST:
-            return cell_ns
-        return max(cell_ns, self.multicast_bus_delay_ns(ctx))
+        return self.estimate(ctx).cycle_time_ns
 
     def multicast_bus_delay_ns(self, ctx: ModelContext) -> float:
-        """Elmore delay of the longest X/Y multicast bus (pi-RC segments).
-
-        The FIFO output driver is the source resistance and every cell tap
-        adds a gate load along the distributed wire, exactly the
-        decomposition of Fig. 2(d).
-        """
+        """Elmore delay of the longest X/Y multicast bus (pi-RC segments)."""
         cfg = self.config
-        wire = wire_params(ctx.tech, WireType.LOCAL)
-        span = max(cfg.rows, cfg.cols)
-        length_mm = span * self.cell_pitch_mm(ctx)
-        taps_ff = span * ctx.tech.gate_cap_ff * 2.0
-        return ladder_delay_ns(
-            total_resistance_ohm=length_mm * wire.r_ohm_per_mm,
-            total_capacitance_ff=length_mm * wire.c_ff_per_mm + taps_ff,
-            driver_ohm=1_500.0,
+        pitch_mm = np.sqrt(self.cell_area_mm2(ctx))
+        return float(
+            multicast_bus_delay_ns(ctx.tech, cfg.rows, cfg.cols, pitch_mm)
         )
 
     # -- rollup ------------------------------------------------------------
@@ -304,69 +404,11 @@ class TensorUnit:
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Full TU estimate with cell-array / FIFO / interconnect children."""
-        tech = ctx.tech
         cfg = self.config
-        activity = calibration.TDP_ACTIVITY["compute"]
-        overhead = calibration.CLOCK_NETWORK_OVERHEAD
-
-        cell_leak = cfg.cell.mac.leakage_w(tech)
-        cell_leak += DffBank("sc-pipe", cfg.cell.pipeline_bits).leakage_w(tech)
-        cell_leak += cfg.cell.reg_bytes * 8 * tech.sram_bit_leak_nw * 2e-9
-        cell_leak += LogicBlock("sc-ctrl", cfg.cell.control_gates).leakage_w(
-            tech
-        )
-        if cfg.cell.spad_bytes:
-            cell_leak += self._spad().leakage_w(tech)
-
-        array = Estimate(
-            name="systolic cells",
-            area_mm2=self.array_area_mm2(ctx),
-            dynamic_w=dynamic_power_w(
-                cfg.macs
-                * self.cell_energy_pj(ctx)
-                * self._span_energy_factor()
-                * overhead,
-                ctx.freq_ghz,
-            )
-            * activity,
-            leakage_w=cfg.macs * cell_leak,
-            cycle_time_ns=cfg.cell.mac.delay_ns(tech)
-            + DffBank("sc", 1).setup_plus_clk_to_q_ns(tech),
-        )
-
-        fifo_bank = self._fifo()
-        fifo = Estimate(
-            name="io fifo",
-            area_mm2=fifo_bank.area_mm2(tech) * FIFO_PLACEMENT_OVERHEAD,
-            dynamic_w=dynamic_power_w(
-                fifo_bank.energy_per_active_cycle_pj(tech) * overhead,
-                ctx.freq_ghz,
-            )
-            * activity,
-            leakage_w=fifo_bank.leakage_w(tech),
-        )
-
-        wire = wire_params(tech, WireType.LOCAL)
-        pitch = self.cell_pitch_mm(ctx)
-        in_bits = cfg.cell.input_dtype.bits
-        out_bits = cfg.cell.mac.accum_dtype.bits
-        track_mm2 = um_to_mm(wire.pitch_um) * pitch
-        wire_area = cfg.macs * (in_bits + out_bits) * track_mm2
-        interconnect = Estimate(
-            name="inner-tu interconnect",
-            area_mm2=wire_area,
-            dynamic_w=dynamic_power_w(
-                self._interconnect_energy_pj(ctx) * overhead, ctx.freq_ghz
-            )
-            * calibration.TDP_ACTIVITY["interconnect"],
-            leakage_w=0.0,
-            cycle_time_ns=(
-                self.multicast_bus_delay_ns(ctx)
-                if cfg.interconnect is InterconnectKind.MULTICAST
-                else 0.0
-            ),
-        )
-
         return Estimate.compose(
-            "tensor unit", [array, fifo, interconnect]
+            "tensor unit",
+            [
+                part.estimate()
+                for part in tensor_unit_terms(ctx, cfg, cfg.rows, cfg.cols)
+            ],
         )

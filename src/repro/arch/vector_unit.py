@@ -4,19 +4,26 @@ Per Sec. II-A the VU handles vector operations and merges partial sums when
 an operator is tiled across TUs; in vector-only accelerators (EIE-style) it
 is the main compute engine.  Each lane carries a MAC-capable ALU plus a
 special-function block (piecewise activation / normalization support).
+The closed forms take the lane count separately from the configuration,
+so the batch kernels evaluate them over arrays of lane counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
-from repro.circuit.dff import DffBank
-from repro.circuit.gates import LogicBlock
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
+from repro.circuit.dff import (
+    DffBank,
+    dff_active_energy_pj,
+    dff_leakage_w,
+)
+from repro.circuit.gates import logic_energy_pj, logic_leakage_w
 from repro.circuit.mac import MacModel
 from repro.datatypes import INT32, DataType
 from repro.errors import ConfigurationError
 from repro.tech import calibration
+from repro.tech.node import TechNode
 from repro.units import dynamic_power_w, um2_to_mm2
 
 #: Gates of the per-lane special-function block (LUT + shifter + compare).
@@ -61,69 +68,82 @@ class VectorUnitConfig:
         return self.lanes
 
 
+# -- closed forms (``lanes`` broadcasts) ------------------------------------
+
+
+def _lane_mac(config: VectorUnitConfig) -> MacModel:
+    return MacModel(config.dtype, config.dtype)
+
+
+def _lane_bits(config: VectorUnitConfig) -> int:
+    return config.dtype.bits * config.pipeline_depth
+
+
+def lane_energy_pj(tech: TechNode, config: VectorUnitConfig) -> float:
+    """Energy of one lane executing one vector element operation."""
+    energy = _lane_mac(config).energy_per_mac_pj(tech) * MAC_ENERGY_FRACTION
+    energy += dff_active_energy_pj(tech, _lane_bits(config))
+    energy += logic_energy_pj(tech, config.sfu_gates, SFU_ACTIVITY)
+    return energy
+
+
+def energy_per_active_cycle_pj(
+    tech: TechNode, config: VectorUnitConfig, lanes
+):
+    """Whole-VU energy on a fully active cycle, for ``lanes`` lanes."""
+    return (
+        lanes
+        * lane_energy_pj(tech, config)
+        * calibration.CLOCK_NETWORK_OVERHEAD
+    )
+
+
+def vector_unit_terms(
+    ctx: ModelContext, config: VectorUnitConfig, lanes
+) -> Terms:
+    """One VU of ``lanes`` lanes (numbers or arrays) built like ``config``."""
+    tech = ctx.tech
+    mac = _lane_mac(config)
+    lane_um2 = mac.area_um2(tech)
+    lane_um2 += _lane_bits(config) * tech.dff_area_um2
+    lane_um2 += config.sfu_gates * tech.gate_area_um2
+    return Terms(
+        name="vector unit",
+        area_mm2=um2_to_mm2(lanes * lane_um2)
+        * calibration.DATAPATH_ROUTING_OVERHEAD,
+        dynamic_w=dynamic_power_w(
+            energy_per_active_cycle_pj(tech, config, lanes), ctx.freq_ghz
+        )
+        * calibration.TDP_ACTIVITY["compute"],
+        leakage_w=lanes
+        * (
+            mac.leakage_w(tech)
+            + dff_leakage_w(tech, _lane_bits(config))
+            + logic_leakage_w(tech, config.sfu_gates)
+        ),
+        # The MAC path dominates the SFU.
+        cycle_time_ns=mac.delay_ns(tech)
+        + DffBank("vu-lane-regs", 1).setup_plus_clk_to_q_ns(tech),
+    )
+
+
 class VectorUnit:
     """Analytical power/area/timing model of one vector unit."""
 
     def __init__(self, config: VectorUnitConfig):
         self.config = config
 
-    def _lane_mac(self) -> MacModel:
-        return MacModel(self.config.dtype, self.config.dtype)
-
-    def _lane_regs(self) -> DffBank:
-        bits = self.config.dtype.bits * self.config.pipeline_depth
-        return DffBank("vu-lane-regs", bits)
-
-    def lane_energy_pj(self, ctx: ModelContext) -> float:
-        """Energy of one lane executing one vector element operation."""
-        energy = self._lane_mac().energy_per_mac_pj(ctx.tech) * MAC_ENERGY_FRACTION
-        energy += self._lane_regs().energy_per_active_cycle_pj(ctx.tech)
-        energy += LogicBlock(
-            "vu-sfu", self.config.sfu_gates, activity=SFU_ACTIVITY
-        ).energy_per_cycle_pj(ctx.tech)
-        return energy
-
     def energy_per_active_cycle_pj(self, ctx: ModelContext) -> float:
         """Whole-VU energy on a fully active cycle."""
-        return (
-            self.config.lanes
-            * self.lane_energy_pj(ctx)
-            * calibration.CLOCK_NETWORK_OVERHEAD
+        return float(
+            energy_per_active_cycle_pj(ctx.tech, self.config, self.config.lanes)
         )
 
     def area_mm2(self, ctx: ModelContext) -> float:
         """Total VU area."""
-        tech = ctx.tech
-        lane_um2 = self._lane_mac().area_um2(tech)
-        lane_um2 += self._lane_regs().bits * tech.dff_area_um2
-        lane_um2 += self.config.sfu_gates * tech.gate_area_um2
-        return (
-            um2_to_mm2(self.config.lanes * lane_um2)
-            * calibration.DATAPATH_ROUTING_OVERHEAD
-        )
-
-    def cycle_time_ns(self, ctx: ModelContext) -> float:
-        """Clock bound of a lane (MAC path dominates the SFU)."""
-        return self._lane_mac().delay_ns(ctx.tech) + self._lane_regs(
-        ).setup_plus_clk_to_q_ns(ctx.tech)
+        return self.estimate(ctx).area_mm2
 
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Full VU estimate."""
-        tech = ctx.tech
-        lanes = self.config.lanes
-        leak = lanes * (
-            self._lane_mac().leakage_w(tech)
-            + self._lane_regs().leakage_w(tech)
-            + LogicBlock("vu-sfu", self.config.sfu_gates).leakage_w(tech)
-        )
-        return Estimate(
-            name="vector unit",
-            area_mm2=self.area_mm2(ctx),
-            dynamic_w=dynamic_power_w(
-                self.energy_per_active_cycle_pj(ctx), ctx.freq_ghz
-            )
-            * calibration.TDP_ACTIVITY["compute"],
-            leakage_w=leak,
-            cycle_time_ns=self.cycle_time_ns(ctx),
-        )
+        return vector_unit_terms(ctx, self.config, self.config.lanes).estimate()

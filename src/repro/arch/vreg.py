@@ -5,17 +5,25 @@ memory.  NeuroMeter reserves two read ports and one write port per attached
 functional unit (a core with one TU and one VU gets the default 4R/2W for
 dual issue); multiple TUs may instead share one port group, trading mapping
 flexibility for area.  Port count is the dominant cost and is why the
-datacenter study caps TUs per core at four (Sec. III-A).
+datacenter study caps TUs per core at four (Sec. III-A).  The closed
+forms broadcast over the lane count and the port-group count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.component import Estimate, ModelContext, cached_estimate
-from repro.circuit.regfile import RegisterFile
+from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
+from repro.circuit.regfile import (
+    regfile_access_latency_ns,
+    regfile_area_mm2,
+    regfile_leakage_w,
+    regfile_read_energy_pj,
+    regfile_write_energy_pj,
+)
 from repro.errors import ConfigurationError
 from repro.tech import calibration
+from repro.tech.node import TechNode
 from repro.units import dynamic_power_w
 
 #: Architectural vector registers.
@@ -59,9 +67,7 @@ class VRegConfig:
     @property
     def port_groups(self) -> int:
         """Independent port groups after optional sharing."""
-        if self.shared_ports:
-            return 2  # one shared TU group + the VU group
-        return self.attached_units
+        return port_groups(self.attached_units, self.shared_ports)
 
     @property
     def read_ports(self) -> int:
@@ -77,59 +83,68 @@ class VRegConfig:
         return self.port_groups
 
 
+def port_groups(attached_units, shared_ports: bool):
+    """Independent port groups: one per attached unit, unless shared."""
+    if shared_ports:
+        return 2  # one shared TU group + the VU group
+    return attached_units
+
+
+def _regfile_shape(entries: int, lanes, groups) -> tuple:
+    """(entries, word bits, total ports) of the register-file array."""
+    ports = READ_PORTS_PER_UNIT * groups + WRITE_PORTS_PER_UNIT * groups
+    return (entries, lanes * ELEMENT_BITS, ports)
+
+
+def energy_per_active_cycle_pj(tech: TechNode, entries: int, lanes, groups):
+    """All port groups active: 2 reads + 1 write per group."""
+    shape = _regfile_shape(entries, lanes, groups)
+    per_group = 2 * regfile_read_energy_pj(
+        tech, *shape
+    ) + regfile_write_energy_pj(tech, *shape)
+    return groups * per_group * calibration.CLOCK_NETWORK_OVERHEAD
+
+
+def vreg_terms(ctx: ModelContext, entries: int, lanes, groups) -> Terms:
+    """A VReg of ``lanes``-element vectors with ``groups`` port groups."""
+    tech = ctx.tech
+    shape = _regfile_shape(entries, lanes, groups)
+    return Terms(
+        name="vector register file",
+        area_mm2=regfile_area_mm2(tech, *shape),
+        dynamic_w=dynamic_power_w(
+            energy_per_active_cycle_pj(tech, entries, lanes, groups),
+            ctx.freq_ghz,
+        )
+        * calibration.TDP_ACTIVITY["memory"],
+        leakage_w=regfile_leakage_w(tech, *shape),
+        cycle_time_ns=regfile_access_latency_ns(tech, entries),
+    )
+
+
 class VectorRegisterFile:
     """Analytical model of the VReg as a wide multiported register file."""
 
     def __init__(self, config: VRegConfig):
         self.config = config
 
-    def _regfile(self) -> RegisterFile:
-        cfg = self.config
-        return RegisterFile(
-            entries=cfg.entries,
-            word_bits=cfg.vector_lanes * ELEMENT_BITS,
-            read_ports=cfg.read_ports,
-            write_ports=cfg.write_ports,
-        )
-
     def area_mm2(self, ctx: ModelContext) -> float:
         """Total VReg area."""
-        return self._regfile().area_mm2(ctx.tech)
-
-    def read_energy_pj(self, ctx: ModelContext) -> float:
-        """One full-vector read."""
-        return self._regfile().read_energy_pj(ctx.tech)
-
-    def write_energy_pj(self, ctx: ModelContext) -> float:
-        """One full-vector write."""
-        return self._regfile().write_energy_pj(ctx.tech)
+        return self.estimate(ctx).area_mm2
 
     def energy_per_active_cycle_pj(self, ctx: ModelContext) -> float:
         """All port groups active: 2 reads + 1 write per group."""
-        rf = self._regfile()
-        per_group = 2 * rf.read_energy_pj(ctx.tech) + rf.write_energy_pj(
-            ctx.tech
+        cfg = self.config
+        return float(
+            energy_per_active_cycle_pj(
+                ctx.tech, cfg.entries, cfg.vector_lanes, cfg.port_groups
+            )
         )
-        return (
-            self.config.port_groups
-            * per_group
-            * calibration.CLOCK_NETWORK_OVERHEAD
-        )
-
-    def cycle_time_ns(self, ctx: ModelContext) -> float:
-        """Access-latency bound on the clock."""
-        return self._regfile().access_latency_ns(ctx.tech)
 
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Full VReg estimate."""
-        return Estimate(
-            name="vector register file",
-            area_mm2=self.area_mm2(ctx),
-            dynamic_w=dynamic_power_w(
-                self.energy_per_active_cycle_pj(ctx), ctx.freq_ghz
-            )
-            * calibration.TDP_ACTIVITY["memory"],
-            leakage_w=self._regfile().leakage_w(ctx.tech),
-            cycle_time_ns=self.cycle_time_ns(ctx),
-        )
+        cfg = self.config
+        return vreg_terms(
+            ctx, cfg.entries, cfg.vector_lanes, cfg.port_groups
+        ).estimate()

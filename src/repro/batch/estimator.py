@@ -10,7 +10,7 @@ whole grid through the NumPy kernels in :mod:`repro.batch.kernels` and
 the batched performance layer in :mod:`repro.batch.perf`.
 
 The vector path is *opt-in safe*: :func:`classify_point` proves a point
-builds one of the preset family configurations the kernels transcribe
+builds one of the preset family configurations the kernels evaluate
 (anything else — exotic datatypes, custom ``build()`` overrides — is
 reported for scalar fallback, and a ``build()`` that *raises* is reported
 as :data:`BUILD_FAILED` with the original error attached rather than
@@ -38,13 +38,12 @@ from repro.cache import get_estimate_cache, stable_hash
 from repro.config.presets import datacenter_context
 from repro.dse.journal import SummaryOutcome, SummaryResult
 from repro.dse.space import DesignPoint
-from repro.errors import NumericalError
 
 #: Grid fields screened before any point is materialized.
 _SCREENED_FIELDS = ("area_mm2", "tdp_w", "peak_tops", "timing_ns")
 
 #: Fallback reason: the point's chip config differs from every preset
-#: family shape the kernels transcribe.
+#: family shape the kernels evaluate.
 UNSUPPORTED_CONFIG = "unsupported-config"
 #: Fallback reason: the point's ``build()`` itself raised; the original
 #: error is preserved in :attr:`BatchResult.errors` so callers can
@@ -72,7 +71,7 @@ def classify_point(
     """Identify which preset family a point's built config matches.
 
     Returns ``(family, None)`` when ``point.build()`` produces exactly
-    the configuration of one kernel-transcribed preset family
+    the configuration of one kernel-evaluated preset family
     (``"datacenter"`` or ``"training"``), ``(None, None)`` when it
     builds fine but matches no family (scalar fallback with
     :data:`UNSUPPORTED_CONFIG`), and ``(None, error)`` when ``build()``
@@ -99,7 +98,7 @@ def classify_point(
 
 
 def supports_vector_path(point: DesignPoint) -> bool:
-    """True when ``point`` builds a kernel-transcribed preset config.
+    """True when ``point`` builds a kernel-evaluated preset config.
 
     Back-compat boolean wrapper over :func:`classify_point`; callers that
     need to distinguish a build *failure* from a config mismatch (the
@@ -172,12 +171,6 @@ class BatchEstimator:
     Args:
         ctx: Model context shared by every point; defaults to the Table I
             datacenter context.
-        strict_screen: When true, a batched output failing the
-            NaN/inf/range screen raises
-            :class:`~repro.errors.NumericalError` instead of being
-            marked for scalar fallback (``backend="vector"`` semantics;
-            SRAM-infeasible points still fall back, because the scalar
-            path raises the matching model error for them).
         use_cache: Consult and populate the process-wide estimate cache
             (:func:`repro.cache.get_estimate_cache`); honored only while
             the cache itself is enabled.
@@ -187,11 +180,9 @@ class BatchEstimator:
         self,
         ctx: Optional[ModelContext] = None,
         *,
-        strict_screen: bool = False,
         use_cache: bool = True,
     ) -> None:
         self.ctx = ctx if ctx is not None else datacenter_context()
-        self.strict_screen = strict_screen
         self.use_cache = use_cache
 
     def estimate_points(
@@ -291,10 +282,17 @@ class BatchEstimator:
         keys: Dict[int, str] = {}
         misses: List[int] = []
         # The context, workload specs, batch list, and SLO are shared by
-        # every point in the family; digest them once instead of
-        # re-canonicalizing the (large) graph specs per point.
+        # every point in the family; digest them once per call, with each
+        # (large) graph spec standing in by its memoized digest.
         shared = (
-            stable_hash("batch-shared", self.ctx, family, specs, batches, slo)
+            stable_hash(
+                "batch-shared",
+                self.ctx,
+                family,
+                [(name, spec.digest) for name, spec in specs],
+                batches,
+                slo,
+            )
             if cache is not None
             else ""
         )
@@ -325,7 +323,7 @@ class BatchEstimator:
         ty = np.asarray(axes.ty, dtype=float)
         grid = estimate_grid(sub, x, n, tx, ty)
         feasible = np.asarray(grid["feasible"], dtype=bool)
-        clean = self._screen(grid, feasible)
+        clean = self._screen(grid)
         outcomes = []
         if specs and bool(np.any(feasible & clean)):
             outcomes = simulate_workloads(
@@ -340,7 +338,7 @@ class BatchEstimator:
                 latency_slo_ms=slo,
                 specs=specs,
             )
-            clean &= self._screen_outcomes(outcomes, feasible)
+            clean &= self._screen_outcomes(outcomes, feasible.shape)
         for offset, index, ok, infeasible_free in zip(
             itertools.count(), misses, clean, feasible
         ):
@@ -375,16 +373,17 @@ class BatchEstimator:
 
     # -- screens ------------------------------------------------------------
 
-    def _screen(self, grid: dict, feasible: "np.ndarray") -> "np.ndarray":
+    def _screen(self, grid: dict) -> "np.ndarray":
         """Vectorized NaN/inf/range screen over the batched outputs.
 
         Mirrors :func:`repro.integrity.contracts.screen_value`: every
         screened field must be finite and non-negative (and the headline
         metrics strictly positive, matching ``validate_result``).
-        Infeasible points are exempt — they are NaN-poisoned by design
-        and routed to the scalar path for the authentic model error.
+        Infeasible points fail it too — they are NaN-poisoned by design —
+        but are reported as SRAM-infeasible, for the authentic model
+        error on the scalar path.
         """
-        clean = np.ones(feasible.shape, dtype=bool)
+        clean = np.ones(np.shape(grid["feasible"]), dtype=bool)
         for name in _SCREENED_FIELDS:
             values = np.asarray(grid[name], dtype=float)
             ok = np.isfinite(values)
@@ -392,20 +391,17 @@ class BatchEstimator:
                 ok &= values > 0.0
             else:
                 ok &= values >= 0.0
-            self._raise_if_strict(name, values, feasible & ~ok)
             clean &= ok
         return clean
 
-    def _screen_outcomes(
-        self, outcomes: list, feasible: "np.ndarray"
-    ) -> "np.ndarray":
+    def _screen_outcomes(self, outcomes: list, shape: tuple) -> "np.ndarray":
         """Screen the batched workload outcomes (``validate_result`` set).
 
         Achieved TOPS and latency must be finite and non-negative,
         utilization a fraction, runtime power strictly positive, batch
         at least one — per point, across every (regime, workload) row.
         """
-        clean = np.ones(feasible.shape, dtype=bool)
+        clean = np.ones(shape, dtype=bool)
         for oc in outcomes:
             checks = (
                 ("achieved_tops", oc.achieved_tops, 0.0, None),
@@ -423,19 +419,5 @@ class BatchEstimator:
                     ok &= values >= lo
                 if hi is not None:
                     ok &= values <= hi
-                self._raise_if_strict(
-                    f"{oc.workload}.{name}", values, feasible & ~ok
-                )
                 clean &= ok
         return clean
-
-    def _raise_if_strict(
-        self, name: str, values: "np.ndarray", bad: "np.ndarray"
-    ) -> None:
-        if self.strict_screen and bool(np.any(bad)):
-            index = int(np.argmax(bad))
-            raise NumericalError(
-                f"batch.{name}[{index}]",
-                float(values[index]),
-                "failed the batched numeric screen",
-            )

@@ -18,25 +18,24 @@ elementwise, so one pass over a ``(rows, points)`` batch array simulates
 all of a sweep's batch regimes, including every candidate of the
 latency-bound search, at once.
 
-Runtime power is still transcribed here (:func:`runtime_power_arrays`).
-Energy coefficients that depend on the design tuple only through a
-handful of unique values (the TU's per-active-cycle energy depends on
-``X`` alone; the VReg's on ``(lanes, N)``) are evaluated through the
-*real* scalar models once per unique value and scattered back into point
-arrays, so the batched runtime power is bit-identical to the scalar
-combination by construction.
+Runtime power is :func:`~repro.power.runtime.runtime_power_report`, the
+function the scalar ``runtime_power`` calls, fed with per-point arrays:
+the TU, VU and VReg energies per active cycle come from their closed
+forms in ``repro.arch`` evaluated over the grid, the Mem and NoC
+energies from ``estimate_grid`` and the kernels, so the batched runtime
+power is the scalar combination by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.tensor_unit import TensorUnit
-from repro.arch.vector_unit import VectorUnit
-from repro.arch.vreg import VectorRegisterFile, VRegConfig
+from repro.arch import tensor_unit as tu_mod
+from repro.arch import vector_unit as vu_mod
+from repro.arch import vreg as vreg_mod
 from repro.batch.substrate import TechSubstrate
 from repro.errors import MappingError
 from repro.perf.graph import Graph
@@ -49,182 +48,59 @@ from repro.perf.simulator import (
     LayerSpec,
     walk_graph,
 )
-from repro.power.runtime import _DRAM_IDLE_FRACTION, _FILL_ENERGY_FRACTION
-from repro.tech import calibration
-from repro.units import dynamic_power_w
+from repro.power.runtime import ActivityFactors, runtime_power_report
 
 
 # -- runtime power, as arrays --------------------------------------------------
 
 
-def _map_unique(values: np.ndarray, fn) -> np.ndarray:
-    """Evaluate ``fn`` once per unique value and scatter back."""
-    out = np.empty(values.shape, dtype=np.float64)
-    for value in np.unique(values):
-        out[values == value] = fn(float(value))
-    return out
-
-
-def _map_unique_pairs(
-    a: np.ndarray, b: np.ndarray, fn
-) -> np.ndarray:
-    """Evaluate ``fn`` once per unique ``(a, b)`` pair and scatter back."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.float64)
-    stacked = np.stack(
-        [np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)],
-        axis=-1,
-    )
-    for pair in np.unique(stacked.reshape(-1, 2), axis=0):
-        mask = (stacked[..., 0] == pair[0]) & (stacked[..., 1] == pair[1])
-        out[mask] = fn(float(pair[0]), float(pair[1]))
-    return out
-
-
-class EnergyCoefficients:
-    """Per-active-cycle energies of the point-dependent units.
-
-    Each coefficient depends on the design tuple only through one or two
-    integers, so the real scalar accessors run once per unique value —
-    exactness for free, and a handful of calls per sweep.
-    """
-
-    def __init__(self, sub: TechSubstrate):
-        self._sub = sub
-        core_cfg = sub.template_config.core
-        self._tu_cfg = core_cfg.tu
-        self._vu_cfg = sub.template_vu_config
-        self._shared_ports = core_cfg.vreg_shared_ports
-        self._su = None
-        if core_cfg.include_scalar_unit:
-            from repro.arch.scalar_unit import ScalarUnit
-
-            self._su = ScalarUnit(scale=core_cfg.scalar_unit_scale)
-
-    def per_tu_pj(self, x: np.ndarray) -> np.ndarray:
-        ctx = self._sub.ctx
-
-        def build(value: float) -> float:
-            cfg = replace(self._tu_cfg, rows=int(value), cols=int(value))
-            return TensorUnit(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique(np.asarray(x, dtype=np.float64), build)
-
-    def per_vu_pj(self, lanes: np.ndarray) -> np.ndarray:
-        ctx = self._sub.ctx
-
-        def build(value: float) -> float:
-            cfg = replace(self._vu_cfg, lanes=int(value))
-            return VectorUnit(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique(np.asarray(lanes, dtype=np.float64), build)
-
-    def per_vreg_pj(
-        self, lanes: np.ndarray, n: np.ndarray
-    ) -> np.ndarray:
-        ctx = self._sub.ctx
-        shared = self._shared_ports
-
-        def build(lane_count: float, tus: float) -> float:
-            cfg = VRegConfig(
-                vector_lanes=int(lane_count),
-                attached_units=int(tus) + 1,
-                shared_ports=shared,
-            )
-            return VectorRegisterFile(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique_pairs(lanes, n, build)
-
-    def per_su_pj(self) -> float:
-        if self._su is None:
-            return 0.0
-        return self._su.energy_per_active_cycle_pj(self._sub.ctx)
-
-
-def runtime_power_arrays(
+def _power_inputs(
     sub: TechSubstrate,
     arch: ArchView,
     grid: Dict[str, np.ndarray],
-    coeffs: EnergyCoefficients,
     n: np.ndarray,
-    noc_energy_per_byte_pj: np.ndarray,
-    activity: Dict[str, np.ndarray],
-) -> np.ndarray:
-    """``runtime_power(...).total_w`` over arrays of design points.
+    noc_pj_per_byte: np.ndarray,
+) -> dict:
+    """``runtime_power_report``'s unit counts and energies, per point.
 
-    Components accumulate in the scalar dict-insertion order (tensor
-    units, vector units, VReg, scalar units, Mem, NoC, off-chip), with
-    the NoC term present only on multi-core points — the same two float
-    summation orders the scalar walk produces.
+    Single-core points carry a zero NoC energy, so their NoC term adds
+    exactly nothing and their sums match the scalar report's, which has
+    no NoC entry.
     """
-    freq = sub.freq_ghz
-    n = np.asarray(n, dtype=np.float64)
-    overhead = calibration.CLOCK_NETWORK_OVERHEAD
-
-    per_tu = coeffs.per_tu_pj(arch.tu_rows)
-    count = arch.cores * n
-    active = dynamic_power_w(per_tu, freq) * activity["tu_utilization"]
-    fill = (
-        dynamic_power_w(per_tu, freq)
-        * _FILL_ENERGY_FRACTION
-        * np.maximum(
-            activity["tu_occupancy"] - activity["tu_utilization"], 0.0
+    tech = sub.tech
+    core_cfg = sub.template_config.core
+    lanes = grid["lanes"]
+    offchip = None
+    if "memory_controller" in sub.fixed_blocks:
+        offchip = (
+            sub.mc_energy_per_byte_pj,
+            sub.mc_device_power_w,
+            sub.template_offchip_gbps,
         )
+    return dict(
+        cores=arch.cores,
+        vu_pj=vu_mod.energy_per_active_cycle_pj(
+            tech, sub.template_vu_config, lanes
+        ),
+        vreg_pj=vreg_mod.energy_per_active_cycle_pj(
+            tech,
+            vreg_mod.DEFAULT_ENTRIES,
+            lanes,
+            vreg_mod.port_groups(n + 1.0, core_cfg.vreg_shared_ports),
+        ),
+        mem_block_bytes=grid["mem_block_bytes"],
+        mem_read_pj=grid["mem_read_energy_pj"],
+        mem_write_pj=grid["mem_write_energy_pj"],
+        tensor_units=(
+            n,
+            tu_mod.energy_per_active_cycle_pj(
+                tech, core_cfg.tu, arch.tu_rows, arch.tu_cols
+            ),
+        ),
+        su_pj=sub.su_energy_pj,
+        noc_pj_per_byte=noc_pj_per_byte,
+        offchip=offchip,
     )
-    comp_tu = count * (active + fill)
-
-    per_vu = coeffs.per_vu_pj(grid["lanes"])
-    comp_vu = (
-        arch.cores
-        * dynamic_power_w(per_vu, freq)
-        * activity["vu_utilization"]
-    )
-
-    per_vreg = coeffs.per_vreg_pj(grid["lanes"], n)
-    effective_vreg = np.maximum(
-        activity["tu_utilization"], activity["vu_utilization"]
-    )
-    comp_vreg = (
-        arch.cores * dynamic_power_w(per_vreg, freq) * effective_vreg
-    )
-
-    comp_su = (
-        arch.cores
-        * dynamic_power_w(coeffs.per_su_pj(), freq)
-        * activity["su_activity"]
-    )
-
-    block = grid["mem_block_bytes"]
-    read_rate_ghz = activity["mem_read_gbps"] / block
-    write_rate_ghz = activity["mem_write_gbps"] / block
-    comp_mem = (
-        read_rate_ghz * grid["mem_read_energy_pj"]
-        + write_rate_ghz * grid["mem_write_energy_pj"]
-    ) * 1e-3 * overhead
-
-    comp_noc = activity["noc_gbps"] * noc_energy_per_byte_pj * 1e-3
-
-    leakage = grid["leakage_w"].copy()
-    interface_w = (
-        activity["offchip_gbps"] * sub.mc_energy_per_byte_pj * 1e-3
-    )
-    device_rated = sub.mc_device_power_w
-    if device_rated > 0:
-        peak_gbps = max(sub.template_offchip_gbps, 1e-9)
-        duty = np.minimum(activity["offchip_gbps"] / peak_gbps, 1.0)
-        interface_w = interface_w + device_rated * (
-            _DRAM_IDLE_FRACTION + (1.0 - _DRAM_IDLE_FRACTION) * duty
-        )
-        leakage = leakage - device_rated
-
-    partial = 0.0 + comp_tu + comp_vu + comp_vreg + comp_su + comp_mem
-    dynamic = np.where(
-        arch.multi,
-        (partial + comp_noc) + interface_w,
-        partial + interface_w,
-    )
-    return dynamic + np.maximum(leakage, 0.0)
 
 
 # -- workload evaluation (the batched ``evaluate_point`` inner loop) -----------
@@ -277,7 +153,7 @@ def simulate_workloads(
     flattened their graphs (the estimator's cache-key construction does)
     pass ``specs`` to skip re-deriving them from ``workloads``.
     """
-    from repro.batch.kernels import noc_energy_per_byte_kernel
+    from repro.batch.kernels import noc_pj_per_byte
 
     candidates = sorted(BATCH_CANDIDATES)
     rows = list(candidates) if "latency-bound" in batches else []
@@ -295,8 +171,9 @@ def simulate_workloads(
     cores = tx * ty
     arch = ArchView.of_grid(sub, grid, x, n, cores)
     peak_tops = grid["peak_tops"]
-    coeffs = EnergyCoefficients(sub)
-    noc_epb = noc_energy_per_byte_kernel(sub, tx, ty, grid["core_area_mm2"])
+    power_inputs = _power_inputs(
+        sub, arch, grid, n, noc_pj_per_byte(sub, tx, ty, grid["core_area_mm2"])
+    )
 
     if specs is None:
         specs = [
@@ -334,9 +211,12 @@ def simulate_workloads(
                 for key, value in run.items()
             }
             achieved = result["achieved_tops"]
-            power = runtime_power_arrays(
-                sub, arch, grid, coeffs, n, noc_epb, result
-            )
+            power = runtime_power_report(
+                sub.freq_ghz,
+                ActivityFactors.unchecked(result),
+                grid["leakage_w"],
+                **power_inputs,
+            ).total_w
             outcomes.append(
                 BatchOutcome(
                     workload=name,

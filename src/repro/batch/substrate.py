@@ -1,26 +1,21 @@
 """Point-independent model state hoisted out of the vectorized hot loop.
 
 A Table I sweep varies only ``(X, N, T_x, T_y)``; everything else — the
-technology node, the per-MAC circuit scalars, the wire RC parameters, and
-whole blocks whose configuration never changes (instruction fetch, scalar
-unit, memory controller, PCIe, ICI, DMA) — is fixed for a given
-:class:`~repro.arch.component.ModelContext` and *preset family*.
-:class:`TechSubstrate` evaluates all of that exactly once, using the
-*real* scalar models, so the array kernels in :mod:`repro.batch.kernels`
-only have to assemble the point-dependent components, from the same
-broadcastable circuit functions the scalar models call.
+technology node, the clock, and whole blocks whose configuration never
+changes (instruction fetch, scalar unit, memory controller, PCIe, ICI,
+DMA) — is fixed for a given :class:`~repro.arch.component.ModelContext`
+and *preset family*.  :class:`TechSubstrate` evaluates the fixed blocks
+exactly once, through their own ``estimate()`` methods, and keeps the
+family's template configuration: the kernels in :mod:`repro.batch.kernels`
+pass its fixed fields (datatypes, FIFO depth, VU sizing, Mem cell, NoC
+bisection, ...) as scalars to the same ``repro.arch`` closed forms the
+scalar classes call, with the point-dependent quantities as arrays.
 
 Two families are modeled: ``"datacenter"`` (the int8 inference preset of
 Table I) and ``"training"`` (the bf16/fp32 TPU-v2-class preset).  Each
-family carries its own template chip, MAC curves (the bf16 multiplier and
-fp32 adder scalars come straight from :class:`repro.circuit.mac.MacModel`,
-which anchors those datatypes natively), and dependent-parameter rules
-(lane count, Mem block/capacity scaling).
-
-Because the fixed blocks are evaluated through their own ``estimate()``
-methods, their contributions are bit-identical to the scalar walk; only
-the architecture-level assembly of the point-dependent components is
-re-derived (and covered by the scalar/vector equivalence suite).
+family carries its own template chip and dependent-parameter rules (lane
+count, Mem block/capacity scaling), the one part of the preset still
+restated here in closed form.
 """
 
 from __future__ import annotations
@@ -28,17 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+from typing import Optional
+
 from repro.arch.chip import Chip, ChipConfig
 from repro.arch.component import Estimate, ModelContext
 from repro.arch.vector_unit import VectorUnitConfig
-from repro.circuit.mac import MacModel
 from repro.config.presets import (
     datacenter_design_point,
     datacenter_training_point,
 )
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.tech.wire import WireParams, WireType, wire_params
 from repro.units import MiB
 
 #: The default preset family (the original vector-backend scope).
@@ -77,25 +72,6 @@ _FAMILY_RULES: Dict[str, Dict[str, int]] = {
 
 
 @dataclass(frozen=True)
-class MacScalars:
-    """Per-operation scalars of one MAC configuration at a fixed node."""
-
-    energy_per_mac_pj: float
-    area_um2: float
-    delay_ns: float
-    leakage_w: float
-
-    @classmethod
-    def from_model(cls, mac: MacModel, tech: TechNode) -> "MacScalars":
-        return cls(
-            energy_per_mac_pj=mac.energy_per_mac_pj(tech),
-            area_um2=mac.area_um2(tech),
-            delay_ns=mac.delay_ns(tech),
-            leakage_w=mac.leakage_w(tech),
-        )
-
-
-@dataclass(frozen=True)
 class BlockScalars:
     """Flattened rollup of one point-independent block's estimate."""
 
@@ -124,13 +100,6 @@ class TechSubstrate:
     cycle_ns: float
     #: the preset family this substrate models.
     family: str
-    #: systolic-cell MAC scalars (int8 for datacenter, bf16/fp32 training).
-    mac_tensor: MacScalars
-    #: vector-lane MAC scalars (the VU's ``MacModel(dtype, dtype)``).
-    mac_vector: MacScalars
-    wire_local: WireParams
-    wire_intermediate: WireParams
-    wire_global: WireParams
     #: name -> rollup for IFU / scalar unit / MC / PCIe / ICI / DMA.
     fixed_blocks: Dict[str, BlockScalars]
     #: the probe chip's configuration; kernels read the point-independent
@@ -140,7 +109,6 @@ class TechSubstrate:
     #: the VU configuration (dtype / SFU gates / pipeline depth; the lane
     #: count is re-derived per point from the lane rule below).
     template_vu_config: VectorUnitConfig
-    template_in_bits: int
     template_lsu_queue_entries: int
     template_mem_pool_bytes: int
     template_mem_slice_floor_bytes: int
@@ -148,11 +116,12 @@ class TechSubstrate:
     template_mem_block_floor: int
     template_lane_mult: int
     template_lane_floor: int
-    template_mem_latency_cycles: int
     template_noc_bisection_gbps: float
     template_offchip_gbps: float
     template_whitespace_fraction: float
-    #: memory-controller traffic coefficients (the runtime power model).
+    #: scalar-unit energy per active cycle (``None`` without an SU) and
+    #: memory-controller traffic coefficients, for runtime power.
+    su_energy_pj: Optional[float]
     mc_energy_per_byte_pj: float
     mc_device_power_w: float
 
@@ -185,14 +154,10 @@ class TechSubstrate:
                 f"expected one of {sorted(FAMILY_BUILDERS)}"
             )
         template = builder(4, 1, 1, 1)
-        tech = ctx.tech
-        cell = template.config.core.tu.cell
-        mac_tensor = MacScalars.from_model(cell.mac, tech)
-        vu_config = template.core.vector_unit.config
-        mac_vector = MacScalars.from_model(
-            MacModel(vu_config.dtype, vu_config.dtype), tech
-        )
         core = template.core
+        su_energy_pj = None
+        if core.scalar_unit is not None:
+            su_energy_pj = core.scalar_unit.energy_per_active_cycle_pj(ctx)
         fixed = {
             "ifu": BlockScalars.from_estimate(core.ifu.estimate(ctx)),
             "scalar_unit": BlockScalars.from_estimate(
@@ -222,19 +187,13 @@ class TechSubstrate:
             )
         return cls(
             ctx=ctx,
-            tech=tech,
+            tech=ctx.tech,
             freq_ghz=ctx.freq_ghz,
             cycle_ns=ctx.cycle_ns,
             family=family,
-            mac_tensor=mac_tensor,
-            mac_vector=mac_vector,
-            wire_local=wire_params(tech, WireType.LOCAL),
-            wire_intermediate=wire_params(tech, WireType.INTERMEDIATE),
-            wire_global=wire_params(tech, WireType.GLOBAL),
             fixed_blocks=fixed,
             template_config=template.config,
-            template_vu_config=vu_config,
-            template_in_bits=cell.input_dtype.bits,
+            template_vu_config=core.vector_unit.config,
             template_lsu_queue_entries=core.lsu.queue_entries,
             template_mem_pool_bytes=rules["mem_pool_bytes"],
             template_mem_slice_floor_bytes=rules["mem_floor_bytes"],
@@ -242,10 +201,10 @@ class TechSubstrate:
             template_mem_block_floor=rules["block_floor"],
             template_lane_mult=rules["lane_mult"],
             template_lane_floor=rules["lane_floor"],
-            template_mem_latency_cycles=template.config.core.mem.latency_cycles,
             template_noc_bisection_gbps=template.config.noc_bisection_gbps,
             template_offchip_gbps=template.config.offchip_bandwidth_gbps,
             template_whitespace_fraction=template.config.whitespace_fraction,
+            su_energy_pj=su_energy_pj,
             mc_energy_per_byte_pj=mc_energy_per_byte_pj,
             mc_device_power_w=mc_device_power_w,
         )

@@ -28,6 +28,9 @@ ROUTING_OVERHEAD = 1.25
 #: Fraction of gates that toggle on an average active cycle.
 DEFAULT_ACTIVITY = 0.10
 
+#: Gate levels on a block's critical path unless stated otherwise.
+DEFAULT_LOGIC_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class LogicBlock:
@@ -44,7 +47,7 @@ class LogicBlock:
     name: str
     gate_count: int
     activity: float = DEFAULT_ACTIVITY
-    logic_depth: int = 12
+    logic_depth: int = DEFAULT_LOGIC_DEPTH
 
     def __post_init__(self) -> None:
         if self.gate_count < 0:
@@ -75,7 +78,7 @@ class LogicBlock:
 
     def delay_ns(self, tech: TechNode) -> float:
         """Critical-path delay through the block's gate levels."""
-        return ps_to_ns(self.logic_depth * tech.fo4_ps)
+        return logic_delay_ns(tech, self.logic_depth)
 
 
 def logic_area_mm2(tech: TechNode, gate_count):
@@ -91,6 +94,11 @@ def logic_energy_pj(tech: TechNode, gate_count, activity=DEFAULT_ACTIVITY):
 def logic_leakage_w(tech: TechNode, gate_count):
     """Static power of ``gate_count`` gates."""
     return nw_to_w(gate_count * tech.gate_leak_nw)
+
+
+def logic_delay_ns(tech: TechNode, logic_depth: int = DEFAULT_LOGIC_DEPTH):
+    """Critical-path delay through ``logic_depth`` gate levels."""
+    return ps_to_ns(logic_depth * tech.fo4_ps)
 
 
 def buffer_chain_delay_ns(tech: TechNode, load_ff: float) -> float:

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.arch.chip import Chip
 from repro.arch.component import ModelContext
+from repro.cache.keys import stable_hash
 from repro.errors import MappingError
 from repro.perf import scalar
 from repro.perf.graph import Graph
@@ -157,6 +158,19 @@ class GraphSpec:
     layers: Tuple[LayerSpec, ...]
     total_macs: int
     total_params_bytes: int
+
+    @property
+    def digest(self) -> str:
+        """The spec's content digest, computed once per spec object.
+
+        Kept in ``_digest``, which is not a dataclass field, so equality
+        and cache-key canonicalization ignore it.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = stable_hash(self)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     @classmethod
     def of(cls, graph: Graph, opt: OptimizationConfig) -> "GraphSpec":

@@ -6,11 +6,19 @@ per-component activity factors (from an external performance simulator —
 our :mod:`repro.perf` — or from published measurements, as in the Eyeriss
 validation of Fig. 5(c-d)) and combines them with the per-access energies
 of the architectural models.
+
+The combination is written once, in :func:`runtime_power_report`, which
+broadcasts: :func:`runtime_power` feeds it one chip's energies and the
+batch backend feeds it arrays over a whole sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
+from typing import Mapping
+
+import numpy as np
 
 from repro.arch.chip import Chip
 from repro.arch.component import ModelContext
@@ -82,9 +90,26 @@ class ActivityFactors:
 
     @property
     def effective_vreg_utilization(self) -> float:
-        if self.vreg_utilization >= 0:
-            return min(self.vreg_utilization, 1.0)
-        return max(self.tu_utilization, self.vu_utilization)
+        return float(_effective_vreg_utilization(self))
+
+    @classmethod
+    def unchecked(cls, values: Mapping) -> SimpleNamespace:
+        """These fields, read from ``values`` unvalidated (arrays allowed).
+
+        Fields missing from ``values`` take the defaults above.  The batch
+        backend screens its outputs instead: infeasible points carry NaN
+        activity.
+        """
+        return SimpleNamespace(
+            **{item.name: values.get(item.name, item.default) for item in fields(cls)}
+        )
+
+
+def _effective_vreg_utilization(activity):
+    """VReg port activity: as given, or the busier of the TU and VU."""
+    if activity.vreg_utilization >= 0:
+        return np.minimum(activity.vreg_utilization, 1.0)
+    return np.maximum(activity.tu_utilization, activity.vu_utilization)
 
 
 @dataclass(frozen=True)
@@ -114,104 +139,154 @@ class RuntimePowerReport:
         return self.components.get(component, 0.0) / self.total_w
 
 
-def runtime_power(
-    chip: Chip, ctx: ModelContext, activity: ActivityFactors
+def runtime_power_report(
+    freq_ghz: float,
+    activity,
+    tdp_leakage_w,
+    *,
+    cores,
+    vu_pj,
+    vreg_pj,
+    mem_block_bytes,
+    mem_read_pj,
+    mem_write_pj,
+    tensor_units=None,
+    reduction_trees=None,
+    su_pj=None,
+    extra_memories=(),
+    noc_pj_per_byte=None,
+    offchip=None,
 ) -> RuntimePowerReport:
-    """Runtime power of ``chip`` under ``activity``.
+    """Per-component runtime power from activities and unit energies.
 
-    Clock-network overhead is amortized into each component (the paper does
-    the same, Sec. II-C); leakage is counted once for the whole chip from
-    the TDP estimate tree.
+    Every quantity may be a number or an array over design points; the
+    components accumulate in the report's order.  ``tensor_units`` and
+    ``reduction_trees`` are ``(per-core count, energy per active cycle)``
+    pairs, ``None`` when the core has none; ``noc_pj_per_byte`` is
+    ``None`` without a NoC; ``offchip`` is ``(energy per byte, rated
+    device power, peak bandwidth)`` of the memory controller, ``None``
+    without one.  Clock-network overhead is amortized into each
+    component (the paper does the same, Sec. II-C); leakage is the TDP
+    estimate's, with the rated DRAM draw moved into the interface term.
     """
-    core = chip.core
-    cfg = chip.config
     overhead = calibration.CLOCK_NETWORK_OVERHEAD
-    components: dict[str, float] = {}
+    components: dict = {}
 
-    if core.tensor_unit is not None:
-        per_tu = core.tensor_unit.energy_per_active_cycle_pj(ctx)
-        count = cfg.cores * cfg.core.tensor_units
-        active = dynamic_power_w(per_tu, ctx.freq_ghz) * (
-            activity.tu_utilization
-        )
+    if tensor_units is not None:
+        count, per_tu = tensor_units
+        active = dynamic_power_w(per_tu, freq_ghz) * activity.tu_utilization
         # Fill/drain and stall cycles still clock the array with operands
         # in flight — the energy waste that grows with TU length.
         fill = (
-            dynamic_power_w(per_tu, ctx.freq_ghz)
+            dynamic_power_w(per_tu, freq_ghz)
             * _FILL_ENERGY_FRACTION
-            * max(activity.tu_occupancy - activity.tu_utilization, 0.0)
+            * np.maximum(activity.tu_occupancy - activity.tu_utilization, 0.0)
         )
-        components["tensor units"] = count * (active + fill)
+        components["tensor units"] = cores * count * (active + fill)
 
-    if core.reduction_tree is not None:
-        per_rt = core.reduction_tree.energy_per_active_cycle_pj(ctx)
-        count = cfg.cores * cfg.core.reduction_trees
+    if reduction_trees is not None:
+        count, per_rt = reduction_trees
         components["reduction trees"] = (
-            count
-            * dynamic_power_w(per_rt, ctx.freq_ghz)
+            cores
+            * count
+            * dynamic_power_w(per_rt, freq_ghz)
             * activity.rt_utilization
         )
 
-    per_vu = core.vector_unit.energy_per_active_cycle_pj(ctx)
     components["vector units"] = (
-        cfg.cores
-        * dynamic_power_w(per_vu, ctx.freq_ghz)
-        * activity.vu_utilization
+        cores * dynamic_power_w(vu_pj, freq_ghz) * activity.vu_utilization
     )
-
-    per_vreg = core.vreg.energy_per_active_cycle_pj(ctx)
     components["vector register files"] = (
-        cfg.cores
-        * dynamic_power_w(per_vreg, ctx.freq_ghz)
-        * activity.effective_vreg_utilization
+        cores
+        * dynamic_power_w(vreg_pj, freq_ghz)
+        * _effective_vreg_utilization(activity)
     )
-
-    if core.scalar_unit is not None:
-        per_su = core.scalar_unit.energy_per_active_cycle_pj(ctx)
+    if su_pj is not None:
         components["scalar units"] = (
-            cfg.cores
-            * dynamic_power_w(per_su, ctx.freq_ghz)
-            * activity.su_activity
+            cores * dynamic_power_w(su_pj, freq_ghz) * activity.su_activity
         )
 
-    memory = core.memory(ctx)
-    block = memory.config.block_bytes
-    read_rate_ghz = activity.mem_read_gbps / block  # block accesses / ns
-    write_rate_ghz = activity.mem_write_gbps / block
+    read_rate_ghz = activity.mem_read_gbps / mem_block_bytes  # accesses/ns
+    write_rate_ghz = activity.mem_write_gbps / mem_block_bytes
     components["on-chip memory"] = (
-        read_rate_ghz * memory.read_energy_pj(ctx)
-        + write_rate_ghz * memory.write_energy_pj(ctx)
+        read_rate_ghz * mem_read_pj + write_rate_ghz * mem_write_pj
     ) * 1e-3 * overhead
-    for name, extra_cfg in cfg.core.extra_memories:
+    for name in extra_memories:
         # Extra memories see traffic proportional to their configured
         # bandwidth targets relative to the main Mem.
         components.setdefault(name, 0.0)
 
-    if cfg.cores > 1:
-        noc = chip.noc(ctx)
+    if noc_pj_per_byte is not None:
         components["network-on-chip"] = (
-            activity.noc_gbps * noc.energy_per_byte_pj(ctx) * 1e-3
+            activity.noc_gbps * noc_pj_per_byte * 1e-3
         )
 
-    leakage = chip.estimate(ctx).leakage_w
-    controller = chip.memory_controller()
-    if controller is not None:
-        interface_w = (
-            activity.offchip_gbps * controller.energy_per_byte_pj() * 1e-3
-        )
+    leakage = tdp_leakage_w
+    if offchip is not None:
+        energy_per_byte_pj, device_rated_w, peak_gbps = offchip
+        interface_w = activity.offchip_gbps * energy_per_byte_pj * 1e-3
         # DRAM device power scales with traffic on top of an idle floor;
         # the rated (worst-case) draw only enters the TDP.
-        device_rated = controller.device_power_w()
-        if device_rated > 0:
-            peak_gbps = max(chip.config.offchip_bandwidth_gbps, 1e-9)
-            duty = min(activity.offchip_gbps / peak_gbps, 1.0)
-            interface_w += device_rated * (
-                _DRAM_IDLE_FRACTION
-                + (1.0 - _DRAM_IDLE_FRACTION) * duty
+        if device_rated_w > 0:
+            duty = np.minimum(
+                activity.offchip_gbps / max(peak_gbps, 1e-9), 1.0
             )
-            leakage -= device_rated  # rated draw was carried as static
+            interface_w = interface_w + device_rated_w * (
+                _DRAM_IDLE_FRACTION + (1.0 - _DRAM_IDLE_FRACTION) * duty
+            )
+            leakage = leakage - device_rated_w  # carried as static in TDP
         components["off-chip interface"] = interface_w
 
     return RuntimePowerReport(
-        components=components, leakage_w=max(leakage, 0.0)
+        components=components, leakage_w=np.maximum(leakage, 0.0)
+    )
+
+
+def runtime_power(
+    chip: Chip, ctx: ModelContext, activity: ActivityFactors
+) -> RuntimePowerReport:
+    """Runtime power of ``chip`` under ``activity``."""
+    core = chip.core
+    cfg = chip.config
+    optional: dict = {}
+    if core.tensor_unit is not None:
+        optional["tensor_units"] = (
+            cfg.core.tensor_units,
+            core.tensor_unit.energy_per_active_cycle_pj(ctx),
+        )
+    if core.reduction_tree is not None:
+        optional["reduction_trees"] = (
+            cfg.core.reduction_trees,
+            core.reduction_tree.energy_per_active_cycle_pj(ctx),
+        )
+    if core.scalar_unit is not None:
+        optional["su_pj"] = core.scalar_unit.energy_per_active_cycle_pj(ctx)
+    if cfg.cores > 1:
+        optional["noc_pj_per_byte"] = chip.noc(ctx).energy_per_byte_pj(ctx)
+    controller = chip.memory_controller()
+    if controller is not None:
+        optional["offchip"] = (
+            controller.energy_per_byte_pj(),
+            controller.device_power_w(),
+            cfg.offchip_bandwidth_gbps,
+        )
+    memory = core.memory(ctx)
+    report = runtime_power_report(
+        ctx.freq_ghz,
+        activity,
+        chip.estimate(ctx).leakage_w,
+        cores=cfg.cores,
+        vu_pj=core.vector_unit.energy_per_active_cycle_pj(ctx),
+        vreg_pj=core.vreg.energy_per_active_cycle_pj(ctx),
+        mem_block_bytes=memory.config.block_bytes,
+        mem_read_pj=memory.read_energy_pj(ctx),
+        mem_write_pj=memory.write_energy_pj(ctx),
+        extra_memories=[name for name, _ in cfg.core.extra_memories],
+        **optional,
+    )
+    return RuntimePowerReport(
+        components={
+            name: float(watts) for name, watts in report.components.items()
+        },
+        leakage_w=float(report.leakage_w),
     )

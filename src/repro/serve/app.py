@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import os
 import sys
 import threading
@@ -34,6 +35,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional, Sequence
 
 from repro.arch.component import ModelContext
+from repro.config.presets import DATACENTER_FREQ_GHZ, DATACENTER_TECH_NM
 from repro.dse.engine import SweepReport, WorkerPool, run_sweep
 from repro.dse.journal import summarize_result
 from repro.dse.space import DesignPoint
@@ -115,17 +117,51 @@ _RELOAD_INT_KEYS = frozenset(
 )
 
 
+def _number(value: object, name: str, kind: type = float):
+    """A numeric request field as ``kind``; a ConfigurationError otherwise.
+
+    Every numeric body field and the ``X-Deadline-S`` header pass through
+    here, so a malformed one answers 400 naming the field.  JSON numbers
+    and numeric strings (headers arrive as text) are accepted; booleans,
+    non-finite values and, for integers, fractions are not.
+    """
+    number = None
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is not None and math.isfinite(number):
+        if kind is float:
+            return number
+        if number.is_integer():
+            return value if isinstance(value, int) else int(number)
+    expected = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(
+        f"request field {name!r} must be {expected}, got {value!r}"
+    )
+
+
+def _batches(body: dict) -> list:
+    """The request's batch sizes (``batches``, else ``batch``, else none)."""
+    raw = body.get("batches")
+    if raw:
+        if not isinstance(raw, list):
+            raise ConfigurationError(
+                f"request field 'batches' must be a list, got {raw!r}"
+            )
+        return [_number(batch, "batches", int) for batch in raw]
+    if "batch" in body:
+        return [_number(body["batch"], "batch", int)]
+    return []
+
+
 def _parse_point(raw: object) -> DesignPoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ConfigurationError(
             f"a design point is a [X, N, Tx, Ty] list, got {raw!r}"
         )
-    try:
-        x, n, tx, ty = (int(part) for part in raw)
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"non-integer design point {raw!r}"
-        ) from error
+    x, n, tx, ty = (_number(part, "point", int) for part in raw)
     return DesignPoint(x, n, tx, ty)
 
 
@@ -228,13 +264,34 @@ class ServeApp:
         freq = body.get("freq")
         if node is None and freq is None:
             return None  # engine default (Table I context)
-        key = (float(node or 28), float(freq or 0.7))
+        # Given values pass through as given: the node table and the
+        # context reject out-of-range ones (both answer 400).
+        key = (
+            float(DATACENTER_TECH_NM)
+            if node is None
+            else _number(node, "node"),
+            DATACENTER_FREQ_GHZ if freq is None else _number(freq, "freq"),
+        )
         with self._lock:
             if key not in self._contexts:
                 self._contexts[key] = ModelContext(
                     tech=tech_node(key[0]), freq_ghz=key[1]
                 )
             return self._contexts[key]
+
+    def _deadline_s(self, request: Request, body: dict) -> float:
+        """The request's wall budget: header, else body, else the default."""
+        name, raw = "X-Deadline-S", request.headers.get("x-deadline-s")
+        if raw is None:
+            name, raw = "deadline_s", body.get("deadline_s")
+        if raw is None:
+            return self.config.deadline_s
+        deadline_s = _number(raw, name)
+        if deadline_s <= 0:
+            raise ConfigurationError(
+                f"request field {name!r} must be positive, got {raw!r}"
+            )
+        return deadline_s
 
     def _backoff(self) -> BackoffPolicy:
         return BackoffPolicy(
@@ -328,11 +385,7 @@ class ServeApp:
                 "status": 404,
             })
         body = request.json()
-        deadline_s = float(
-            request.headers.get("x-deadline-s")
-            or body.get("deadline_s")
-            or self.config.deadline_s
-        )
+        deadline_s = self._deadline_s(request, body)
         with self.gate.admit():
             abort = threading.Event()
             try:
@@ -369,9 +422,7 @@ class ServeApp:
     ) -> Response:
         point = _parse_point(body.get("point"))
         names = list(body.get("workloads") or ())
-        batches = [int(b) for b in body.get("batches") or ()] or (
-            [int(body["batch"])] if "batch" in body else []
-        )
+        batches = _batches(body)
         ctx = self._context(body)
         family = "|".join(sorted(names)) if names else "peak"
 
@@ -529,9 +580,7 @@ class ServeApp:
         points = [_parse_point(raw) for raw in raw_points]
         names = list(body.get("workloads") or ())
         workloads = self._workloads(names) if names else ()
-        batches = [int(b) for b in body.get("batches") or ()] or (
-            [int(body["batch"])] if "batch" in body else []
-        )
+        batches = _batches(body)
         ctx = self._context(body)
 
         journal_path = None
@@ -608,8 +657,9 @@ class ServeApp:
         await self._run_blocking(
             self._persist_manifest, manifest, manifest_path
         )
-        stale_after_s = float(
-            body.get("stale_after_s") or DEFAULT_STALE_AFTER_S
+        stale_after_s = _number(
+            body.get("stale_after_s") or DEFAULT_STALE_AFTER_S,
+            "stale_after_s",
         )
         ctx = self._context(body)
         should_abort = self._should_abort(abort)
@@ -649,7 +699,7 @@ class ServeApp:
 
         explicit = body.get("shard")
         if explicit is not None:
-            index = int(explicit)
+            index = _number(explicit, "shard", int)
             # A held lease propagates as ShardLeaseHeldError -> 409.
             report = await self._run_blocking(_run, index)
             return _payload(index, report)
@@ -691,9 +741,11 @@ class ServeApp:
                 f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
             )
         constraints = Constraints(
-            max_area_mm2=body.get("max_area_mm2"),
-            max_tdp_w=body.get("max_tdp_w"),
-            min_peak_tops=body.get("min_peak_tops"),
+            **{
+                name: None if body.get(name) is None
+                else _number(body[name], name)
+                for name in ("max_area_mm2", "max_tdp_w", "min_peak_tops")
+            }
         )
         raw_points = body.get("points")
         points = (
@@ -705,21 +757,19 @@ class ServeApp:
         if objective.needs_workloads and not names:
             names = ["resnet", "inception", "nasnet"]
         workloads = self._workloads(names) if names else ()
-        batch = int(body.get("batch", 1))
+        batch = _number(body.get("batch", 1), "batch", int)
         ctx = self._context(body)
         eval_budget = None
-        seed = int(body.get("seed", self.config.seed))
+        seed = _number(body.get("seed", self.config.seed), "seed", int)
         if strategy == "surrogate":
-            eval_budget = int(
-                body.get("eval_budget", max(8, len(points) // 4))
+            eval_budget = _number(
+                body.get("eval_budget", max(8, len(points) // 4)),
+                "eval_budget",
+                int,
             )
             # Admission check: refuse a budget the deadline can never
             # fund, rather than accepting work guaranteed to die at 504.
-            deadline_s = float(
-                request.headers.get("x-deadline-s")
-                or body.get("deadline_s")
-                or self.config.deadline_s
-            )
+            deadline_s = self._deadline_s(request, body)
             floor_s = eval_budget * self.config.eval_cost_floor_s
             if floor_s > deadline_s:
                 raise ConfigurationError(
@@ -738,6 +788,7 @@ class ServeApp:
                 workloads=workloads,
                 batch=batch,
                 ctx=ctx,
+                backend=self.config.backend,
                 strict=False,
                 strategy=strategy,
                 eval_budget=eval_budget,
@@ -814,7 +865,7 @@ class ServeApp:
                         max_hits=0,
                     ),
                 ),
-                seed=int(body.get("seed", self.config.seed)),
+                seed=_number(body.get("seed", self.config.seed), "seed", int),
             )
             with fault_injection(plan):
                 return _run(), inject

@@ -119,6 +119,15 @@ def run_server(
     try:
         return asyncio.run(_serve_until_drained(app))
     finally:
-        app.close()
-        print("neurometer serve: drained, exiting", file=sys.stderr,
-              flush=True)
+        # Closing the loop restored the default SIGTERM/SIGINT actions; a
+        # second signal during the teardown below must not kill the
+        # daemon with the journals half flushed.
+        stops = (signal.SIGTERM, signal.SIGINT)
+        previous = {sig: signal.signal(sig, signal.SIG_IGN) for sig in stops}
+        try:
+            app.close()
+            print("neurometer serve: drained, exiting", file=sys.stderr,
+                  flush=True)
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)

@@ -185,11 +185,12 @@ def wire_pipeline_stages(
 
     NeuroMeter pipelines long buses (e.g. the CDB) when their repeated-wire
     delay exceeds the cycle time; the result is at least 1 (every bus has a
-    launch register).
+    launch register).  An ``int`` for one length, a float array for many.
     """
     if cycle_time_ns <= 0:
         raise ConfigurationError(
             f"cycle time must be positive, got {cycle_time_ns}"
         )
     delay = repeated_wire_delay_ns(tech, wire, length_mm)
-    return max(1, math.ceil(delay / cycle_time_ns))
+    stages = np.maximum(1, np.ceil(delay / cycle_time_ns))
+    return int(stages) if np.ndim(stages) == 0 else stages

@@ -14,12 +14,13 @@ from __future__ import annotations
 import pytest
 
 import repro.batch.perf as batch_perf
+import repro.cache.keys as cache_keys
 from repro.batch import BatchEstimator
 from repro.config.presets import datacenter_context
 from repro.dse.space import DesignPoint
 from repro.dse.sweep import evaluate_point
 from repro.perf.graph import LayerNode
-from repro.perf.simulator import BATCH_CANDIDATES, Simulator
+from repro.perf.simulator import BATCH_CANDIDATES, LayerSpec, Simulator
 from repro.workloads import (
     inception_v3,
     mobilenet_v2,
@@ -117,3 +118,27 @@ def test_second_vector_estimate_flattens_no_layer(monkeypatch):
     )
     assert result.fallback_reasons == {}
     assert len(calls) == 0
+
+
+def test_second_vector_estimate_canonicalizes_no_layer(monkeypatch):
+    workloads = _fig10_workloads()
+    estimator = BatchEstimator(datacenter_context())
+    estimator.estimate_points(
+        [DesignPoint(64, 2, 2, 4)], workloads=workloads, batches=FIG10_BATCHES
+    )
+    layers = []
+    canonicalize = cache_keys.canonicalize
+
+    def counted(obj, _depth=0):
+        if isinstance(obj, LayerSpec):
+            layers.append(obj)
+        return canonicalize(obj, _depth)
+
+    monkeypatch.setattr(cache_keys, "canonicalize", counted)
+    result = estimator.estimate_points(
+        [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)],
+        workloads=workloads,
+        batches=FIG10_BATCHES,
+    )
+    assert result.fallback_reasons == {}
+    assert len(layers) == 0

@@ -8,6 +8,8 @@ real model failure would surface.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import threading
 import time
@@ -15,6 +17,7 @@ import time
 import pytest
 
 import repro.dse.engine as engine_mod
+import repro.dse.optimizer as optimizer_mod
 from repro.dse.engine import run_sweep
 from repro.dse.journal import load_journal
 from repro.dse.space import DesignPoint
@@ -114,6 +117,77 @@ def test_unknown_workload_maps_to_400(harness_factory):
     with pytest.raises(RemoteError) as excinfo:
         harness.client().estimate(POINT, workloads=["bogus"], batch=1)
     assert excinfo.value.status == 400
+
+
+def _post(harness, path, body, headers=()):
+    """One raw POST, so headers the client never sends can be tried."""
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", harness.port, timeout=120
+    )
+    try:
+        connection.request(
+            "POST",
+            path,
+            body=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json", **dict(headers)},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize(
+    "path, body, headers, field",
+    [
+        ("/estimate", {"point": POINT, "batches": ["latency-bound"]}, (),
+         "batches"),
+        ("/estimate", {"point": POINT, "batch": "x"}, (), "batch"),
+        ("/estimate", {"point": POINT}, (("X-Deadline-S", "soon"),),
+         "X-Deadline-S"),
+        ("/estimate", {"point": POINT, "node": "abc"}, (), "node"),
+        ("/estimate", {"point": POINT, "node": 0}, (), "0"),
+        ("/estimate", {"point": POINT, "freq": 0}, (), "clock rate"),
+        ("/estimate", {"point": POINT, "deadline_s": -1}, (), "deadline_s"),
+        ("/optimize", {"points": [POINT], "max_area_mm2": "big"}, (),
+         "max_area_mm2"),
+    ],
+    ids=[
+        "batches-latency-bound",
+        "batch-not-a-number",
+        "deadline-header-not-a-number",
+        "node-not-a-number",
+        "node-zero",
+        "freq-zero",
+        "deadline-negative",
+        "optimize-max-area-not-a-number",
+    ],
+)
+def test_bad_request_fields_map_to_400(
+    harness_factory, path, body, headers, field
+):
+    harness = harness_factory(jobs=1)
+    status, payload = _post(harness, path, body, headers)
+    assert status == 400, payload
+    assert field in payload["message"], payload
+    assert harness.client().status()["state"] == "serving"
+
+
+def test_optimize_runs_on_the_configured_backend(harness_factory, monkeypatch):
+    backends = []
+    optimize_design = optimizer_mod.optimize_design
+
+    def spy(*args, **kwargs):
+        backends.append(kwargs.get("backend"))
+        return optimize_design(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_mod, "optimize_design", spy)
+    harness = harness_factory(jobs=1, backend="auto")
+    payload = harness.client().optimize(
+        objective="tops-per-watt", points=[POINT, [16, 1, 2, 2]]
+    )
+    assert backends == ["auto"]
+    assert payload["best"]["point"] in (POINT, [16, 1, 2, 2])
 
 
 # -- fault tolerance ---------------------------------------------------------
