@@ -3,24 +3,28 @@
 The scalar path builds a :class:`~repro.arch.chip.Chip` object tree per
 design point and walks it; for a Table I sweep that repeats the same
 closed-form arithmetic a few hundred times with different ``(X, N, Tx,
-Ty)``.  :class:`BatchEstimator` canonicalizes the sweep into parallel
-coordinate arrays (:class:`GridAxes`), hoists everything point-independent
-into a :class:`~repro.batch.substrate.TechSubstrate`, and evaluates the
-whole grid through the NumPy kernels in :mod:`repro.batch.kernels` and
-the batched performance layer in :mod:`repro.batch.perf`.
+Ty)``.  :class:`BatchEstimator` builds each point once and splits its
+configuration into a shape and per-point values
+(:func:`~repro.batch.substrate.split_config`), groups the points by
+shape, hoists everything point-independent into a
+:class:`~repro.batch.substrate.TechSubstrate` per ``(context, shape)``,
+and evaluates each group through the NumPy kernels in
+:mod:`repro.batch.kernels` and the batched performance layer in
+:mod:`repro.batch.perf`.
 
-The vector path is *opt-in safe*: :func:`classify_point` proves a point
-builds one of the preset family configurations the kernels evaluate
-(anything else — exotic datatypes, custom ``build()`` overrides — is
-reported for scalar fallback, and a ``build()`` that *raises* is reported
-as :data:`BUILD_FAILED` with the original error attached rather than
-being misfiled as a config mismatch), and the batched outputs pass the
-same NaN/inf/range screens the component cache applies
+The vector path is *opt-in safe*: :func:`classify_point` vectorizes a
+point only when its shape is one the kernels model (anything else —
+exotic datatypes, extra memories, explicit bandwidths — is reported for
+scalar fallback, and a ``build()`` that *raises* is reported as
+:data:`BUILD_FAILED` with the original error attached rather than being
+misfiled as a config mismatch), and the batched outputs pass the same
+NaN/inf/range screens the component cache applies
 (:mod:`repro.integrity.contracts`), vectorized over the grid.
 
 Successful batched summaries are written through the process-wide
-estimate cache (:mod:`repro.cache`), keyed by (context, family, point
-coordinates, workload set, batch regimes), so a warm re-sweep skips the
+estimate cache (:mod:`repro.cache`), keyed by a digest of the context,
+shape, workload set and batch regimes shared by the call, plus the
+point's coordinates and per-point values, so a warm re-sweep skips the
 kernels entirely instead of losing to the scalar path's cached walk.
 """
 
@@ -32,8 +36,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.chip import ChipConfig
 from repro.arch.component import ModelContext
-from repro.batch.substrate import FAMILY_BUILDERS, substrate_for
+from repro.batch.substrate import (
+    MODELED_SHAPES,
+    GridAxes,
+    split_config,
+    substrate_for,
+)
 from repro.cache import get_estimate_cache, stable_hash
 from repro.config.presets import datacenter_context
 from repro.dse.journal import SummaryOutcome, SummaryResult
@@ -42,8 +52,8 @@ from repro.dse.space import DesignPoint
 #: Grid fields screened before any point is materialized.
 _SCREENED_FIELDS = ("area_mm2", "tdp_w", "peak_tops", "timing_ns")
 
-#: Fallback reason: the point's chip config differs from every preset
-#: family shape the kernels evaluate.
+#: Fallback reason: the point's chip config has a shape the kernels do
+#: not model.
 UNSUPPORTED_CONFIG = "unsupported-config"
 #: Fallback reason: the point's ``build()`` itself raised; the original
 #: error is preserved in :attr:`BatchResult.errors` so callers can
@@ -67,68 +77,25 @@ FALLBACK_REASONS = (
 
 def classify_point(
     point: DesignPoint,
-) -> Tuple[Optional[str], Optional[BaseException]]:
-    """Identify which preset family a point's built config matches.
+) -> Tuple[
+    Optional[ChipConfig], Optional[GridAxes], Optional[BaseException]
+]:
+    """Split a point's built configuration into shape and per-point values.
 
-    Returns ``(family, None)`` when ``point.build()`` produces exactly
-    the configuration of one kernel-evaluated preset family
-    (``"datacenter"`` or ``"training"``), ``(None, None)`` when it
-    builds fine but matches no family (scalar fallback with
-    :data:`UNSUPPORTED_CONFIG`), and ``(None, error)`` when ``build()``
-    itself raises — the error is returned, not swallowed, so the caller
-    can report :data:`BUILD_FAILED` with the authentic cause.
-
-    The family check compares frozen config dataclasses, so it is
-    exact: any drift between the preset and a custom point — down to a
-    single coefficient — disqualifies the vector path rather than
-    silently mis-modeling the point.
+    Builds the point once.  Returns ``(shape, values, None)`` when the
+    configuration's shape is one the kernels model, ``(None, None,
+    None)`` when it builds fine but its shape is not modeled (scalar
+    fallback with :data:`UNSUPPORTED_CONFIG`), and ``(None, None,
+    error)`` when ``build()`` itself raises — the error is returned, not
+    swallowed, so the caller can report :data:`BUILD_FAILED` with the
+    authentic cause.
     """
     try:
-        built = point.build().config
+        config = point.build().config
     except Exception as error:
-        return None, error
-    for family, builder in FAMILY_BUILDERS.items():
-        try:
-            reference = builder(point.x, point.n, point.tx, point.ty).config
-        except Exception:  # pragma: no cover - preset factories are total
-            continue
-        if built == reference:
-            return family, None
-    return None, None
-
-
-def supports_vector_path(point: DesignPoint) -> bool:
-    """True when ``point`` builds a kernel-evaluated preset config.
-
-    Back-compat boolean wrapper over :func:`classify_point`; callers that
-    need to distinguish a build *failure* from a config mismatch (the
-    sweep engine's fallback accounting) use :func:`classify_point`
-    directly.
-    """
-    family, _ = classify_point(point)
-    return family is not None
-
-
-@dataclass(frozen=True)
-class GridAxes:
-    """Canonicalized sweep coordinates: parallel per-point axis tuples."""
-
-    x: Tuple[int, ...]
-    n: Tuple[int, ...]
-    tx: Tuple[int, ...]
-    ty: Tuple[int, ...]
-
-    @classmethod
-    def from_points(cls, points: Sequence[DesignPoint]) -> "GridAxes":
-        return cls(
-            x=tuple(p.x for p in points),
-            n=tuple(p.n for p in points),
-            tx=tuple(p.tx for p in points),
-            ty=tuple(p.ty for p in points),
-        )
-
-    def __len__(self) -> int:
-        return len(self.x)
+        return None, None, error
+    shape, values = split_config(config)
+    return shape, values, None
 
 
 @dataclass(frozen=True)
@@ -171,19 +138,10 @@ class BatchEstimator:
     Args:
         ctx: Model context shared by every point; defaults to the Table I
             datacenter context.
-        use_cache: Consult and populate the process-wide estimate cache
-            (:func:`repro.cache.get_estimate_cache`); honored only while
-            the cache itself is enabled.
     """
 
-    def __init__(
-        self,
-        ctx: Optional[ModelContext] = None,
-        *,
-        use_cache: bool = True,
-    ) -> None:
+    def __init__(self, ctx: Optional[ModelContext] = None) -> None:
         self.ctx = ctx if ctx is not None else datacenter_context()
-        self.use_cache = use_cache
 
     def estimate_points(
         self,
@@ -207,32 +165,37 @@ class BatchEstimator:
         scalar backend exactly.
         """
         resolved = tuple(points)
+        classified = [classify_point(point) for point in resolved]
         reasons: Dict[int, str] = {}
         errors: Dict[int, BaseException] = {}
-        by_family: Dict[str, List[int]] = {}
-        for index, point in zip(itertools.count(), resolved):
-            family, error = classify_point(point)
-            if family is not None:
-                by_family.setdefault(family, []).append(index)
-            elif error is not None:
+        for index, (shape, _, error) in zip(itertools.count(), classified):
+            if error is not None:
                 reasons[index] = BUILD_FAILED
                 errors[index] = error
-            else:
+            elif shape is None:
                 reasons[index] = UNSUPPORTED_CONFIG
         summaries: List[Optional[SummaryResult]] = [None] * len(resolved)
         workload_list = tuple(workloads)
         batch_list = tuple(batches)
-        for family, indices in by_family.items():
-            self._estimate_family(
-                family,
-                resolved,
-                indices,
-                workload_list,
-                batch_list,
-                latency_slo_ms,
-                summaries,
-                reasons,
-            )
+        for shape in MODELED_SHAPES:
+            members = [
+                (index, values)
+                for index, (found, values, _) in zip(
+                    itertools.count(), classified
+                )
+                if found is shape
+            ]
+            if members:
+                self._estimate_shape(
+                    shape,
+                    resolved,
+                    members,
+                    workload_list,
+                    batch_list,
+                    latency_slo_ms,
+                    summaries,
+                    reasons,
+                )
         return BatchResult(
             points=resolved,
             summaries=tuple(summaries),
@@ -240,20 +203,22 @@ class BatchEstimator:
             errors=errors,
         )
 
-    # -- one preset family --------------------------------------------------
+    # -- one modeled shape ---------------------------------------------------
 
-    def _estimate_family(
+    def _estimate_shape(
         self,
-        family: str,
+        shape: ChipConfig,
         resolved: Tuple[DesignPoint, ...],
-        indices: List[int],
+        members: List[Tuple[int, GridAxes]],
         workloads: Tuple[Tuple[str, object], ...],
         batches: Tuple[object, ...],
         latency_slo_ms: Optional[float],
         summaries: List[Optional[SummaryResult]],
         reasons: Dict[int, str],
     ) -> None:
-        """Evaluate one family's points; fill ``summaries``/``reasons``.
+        """Evaluate one shape's points; fill ``summaries``/``reasons``.
+
+        ``members`` pairs each point's index with its per-point values.
 
         Cache-hit points skip the kernels entirely; the misses run
         through one ``estimate_grid`` + ``simulate_workloads`` pass and
@@ -276,19 +241,19 @@ class BatchEstimator:
         specs = [
             (name, GraphSpec.of(graph, opt)) for name, graph in workloads
         ]
-        cache = get_estimate_cache() if self.use_cache else None
-        if cache is not None and not cache.enabled:
+        cache = get_estimate_cache()
+        if not cache.enabled:
             cache = None
         keys: Dict[int, str] = {}
-        misses: List[int] = []
-        # The context, workload specs, batch list, and SLO are shared by
-        # every point in the family; digest them once per call, with each
-        # (large) graph spec standing in by its memoized digest.
+        misses: List[Tuple[int, GridAxes]] = []
+        # The context, shape, workload specs, batch list, and SLO are
+        # shared by every point of the shape; digest them once per call,
+        # with each (large) graph spec standing in by its memoized digest.
         shared = (
             stable_hash(
                 "batch-shared",
                 self.ctx,
-                family,
+                shape,
                 [(name, spec.digest) for name, spec in specs],
                 batches,
                 slo,
@@ -296,32 +261,31 @@ class BatchEstimator:
             if cache is not None
             else ""
         )
-        for index in indices:
-            point = resolved[index]
+        for index, values in members:
             if cache is None:
-                misses.append(index)
+                misses.append((index, values))
                 continue
+            point = resolved[index]
+            # The summary names its point, so the coordinates join the
+            # values that set its numbers.
             key = stable_hash(
                 "batch-point",
                 shared,
-                (point.x, point.n, point.tx, point.ty),
+                (point.x, point.n, point.tx, point.ty) + values,
             )
             keys[index] = key
             hit, value = cache.get(key)
             if hit and isinstance(value, SummaryResult):
                 summaries[index] = value
             else:
-                misses.append(index)
+                misses.append((index, values))
         if not misses:
             return
 
-        axes = GridAxes.from_points([resolved[i] for i in misses])
-        sub = substrate_for(self.ctx, family)
-        x = np.asarray(axes.x, dtype=float)
-        n = np.asarray(axes.n, dtype=float)
-        tx = np.asarray(axes.tx, dtype=float)
-        ty = np.asarray(axes.ty, dtype=float)
-        grid = estimate_grid(sub, x, n, tx, ty)
+        indices = [index for index, _ in misses]
+        axes = GridAxes.stack([values for _, values in misses])
+        sub = substrate_for(self.ctx, shape)
+        grid = estimate_grid(sub, axes)
         feasible = np.asarray(grid["feasible"], dtype=bool)
         clean = self._screen(grid)
         outcomes = []
@@ -329,10 +293,7 @@ class BatchEstimator:
             outcomes = simulate_workloads(
                 sub,
                 grid,
-                x,
-                n,
-                tx,
-                ty,
+                axes,
                 [(name, None) for name, _ in specs],
                 batches,
                 latency_slo_ms=slo,
@@ -340,7 +301,7 @@ class BatchEstimator:
             )
             clean &= self._screen_outcomes(outcomes, feasible.shape)
         for offset, index, ok, infeasible_free in zip(
-            itertools.count(), misses, clean, feasible
+            itertools.count(), indices, clean, feasible
         ):
             if not infeasible_free:
                 reasons[index] = SRAM_INFEASIBLE

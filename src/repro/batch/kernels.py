@@ -1,8 +1,10 @@
 """Architecture-level rollups evaluated over whole design-point grids.
 
-:func:`estimate_grid` assembles ``Chip.estimate`` for *vectors* of
-design-point parameters ``(X, N, T_x, T_y)`` against one fixed
-:class:`TechSubstrate`.  It computes no physics of its own: every
+:func:`estimate_grid` assembles ``Chip.estimate`` for one modeled shape's
+points, given their per-point values
+(:class:`~repro.batch.substrate.GridAxes`: TU rows and cols, TUs per
+core, VU lanes, the Mem slice, the core grid) as arrays, against one
+fixed :class:`TechSubstrate`.  It computes no physics of its own: every
 component's area, power and timing come from the closed forms in
 ``repro.arch`` (tensor unit, vector unit, VReg, LSU, on-chip memory,
 CDB, NoC, chip), which call ``repro.circuit`` and ``repro.tech`` — the
@@ -11,8 +13,7 @@ numbers.  The two backends agree on the architecture because they run
 the same code; ``tests/arch/test_oracle.py`` pins both against recorded
 values.
 
-What stays here: the preset families' dependent-parameter rules (lane
-count, Mem slice), the SRAM organization search per distinct requirement
+What stays here: the SRAM organization search per distinct requirement
 row, the NoC topology rule per point, and the core/chip assembly, summed
 in ``Estimate.compose`` order.
 
@@ -37,22 +38,9 @@ from repro.arch import vector_unit as vu_mod
 from repro.arch import vreg as vreg_mod
 from repro.arch.component import Terms
 from repro.arch.noc import NocTopology
-from repro.batch.substrate import TechSubstrate
+from repro.batch.substrate import GridAxes, TechSubstrate
 from repro.circuit import sram as sram_mod
 from repro.units import tops
-
-
-def vector_lanes_kernel(sub: TechSubstrate, x) -> np.ndarray:
-    """The preset's VU lane count for TU lengths ``x``.
-
-    Datacenter presets carry no explicit VU config, so the core falls back
-    to ``lanes = tu.rows`` (mult 1, floor 1); the training preset scales
-    ``lanes = max(2 * X, 32)``.  Both rules live in the substrate.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(
-        float(sub.template_lane_mult) * x, float(sub.template_lane_floor)
-    )
 
 
 def _searched_organizations(
@@ -90,10 +78,10 @@ def _searched_organizations(
 def _per_topology(
     sub: TechSubstrate, cores: np.ndarray, form: Callable
 ) -> list:
-    """``form(topology)``'s values per point under the family's NoC rule.
+    """``form(topology)``'s values per point under the shape's NoC rule.
 
     ``ChipConfig.topology`` picks a ring up to ``RING_MAX_CORES`` cores
-    and a 2D mesh beyond, unless the family fixes one.  Every form is
+    and a 2D mesh beyond, unless the shape fixes one.  Every form is
     elementwise, so evaluating it once per topology and selecting per
     point gives each point exactly its own topology's values.
     Single-core chips have no NoC and get zeros.
@@ -138,37 +126,29 @@ def noc_pj_per_byte(sub: TechSubstrate, tx, ty, core_area_mm2) -> np.ndarray:
     return energy
 
 
-def estimate_grid(sub: TechSubstrate, x, n, tx, ty) -> Dict[str, np.ndarray]:
+def estimate_grid(sub: TechSubstrate, axes: GridAxes) -> Dict[str, np.ndarray]:
     """Chip-level rollup (`Chip.estimate` + headline metrics) for a grid.
 
-    Returns float64 arrays: ``area_mm2`` (with whitespace), ``dynamic_w``,
-    ``leakage_w``, ``tdp_w``, ``peak_tops``, ``timing_ns`` (the composed
-    cycle-time bound), and a boolean ``feasible`` mask (False where the
-    scalar path would raise ``OptimizationError`` in the Mem search).
-    Additional per-point quantities consumed by the batched performance
-    layer ride along: the core area, the VU lane count, and the on-chip
-    memory's derived configuration and per-access physics (``mem_*``).
+    ``axes`` holds the points' per-point values as float64 arrays
+    (:meth:`GridAxes.stack`).  Returns float64 arrays: ``area_mm2``
+    (with whitespace), ``dynamic_w``, ``leakage_w``, ``tdp_w``,
+    ``peak_tops``, ``timing_ns`` (the composed cycle-time bound), and a
+    boolean ``feasible`` mask (False where the scalar path would raise
+    ``OptimizationError`` in the Mem search).  Additional per-point
+    quantities consumed by the batched performance layer ride along: the
+    core area, the VU lane count, and the on-chip memory's configuration
+    and per-access physics (``mem_*``).
     """
     ctx = sub.ctx
     core_cfg = sub.template_config.core
-    x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    tx = np.asarray(tx, dtype=np.float64)
-    ty = np.asarray(ty, dtype=np.float64)
-    cores = tx * ty
+    rows, cols, n = axes.tu_rows, axes.tu_cols, axes.tensor_units
+    capacity, block = axes.mem_capacity_bytes, axes.mem_block_bytes
+    tx, ty = axes.cores_x, axes.cores_y
+    cores = axes.cores
     in_bits = core_cfg.tu.cell.input_dtype.bits
 
-    # -- the family's dependent parameters (Fig. 6 auto-scaling) --
-    lanes = vector_lanes_kernel(sub, x)
-    operand_bytes = np.maximum(core_mod.operand_bytes(n, x, in_bits), 1.0)
-    capacity = np.maximum(
-        np.floor_divide(sub.template_mem_pool_bytes, cores),
-        sub.template_mem_slice_floor_bytes,
-    )
-    block = np.maximum(
-        float(sub.template_mem_block_mult) * x,
-        float(sub.template_mem_block_floor),
-    )
+    # -- the Mem slice's bandwidth targets and organization --
+    operand_bytes = np.maximum(core_mod.operand_bytes(n, rows, in_bits), 1.0)
     read_bw, write_bw = core_mod.mem_bandwidth_targets_gbps(
         operand_bytes, sub.freq_ghz
     )
@@ -185,13 +165,13 @@ def estimate_grid(sub: TechSubstrate, x, n, tx, ty) -> Dict[str, np.ndarray]:
     ifu = sub.fixed_blocks["ifu"]
     scalar_unit = sub.fixed_blocks["scalar_unit"]
     tu = Terms.compose(
-        "tensor unit", tu_mod.tensor_unit_terms(ctx, core_cfg.tu, x, x)
+        "tensor unit", tu_mod.tensor_unit_terms(ctx, core_cfg.tu, rows, cols)
     )
-    vu = vu_mod.vector_unit_terms(ctx, sub.template_vu_config, lanes)
+    vu = vu_mod.vector_unit_terms(ctx, sub.template_vu_config, axes.lanes)
     vreg = vreg_mod.vreg_terms(
         ctx,
         vreg_mod.DEFAULT_ENTRIES,
-        lanes,
+        axes.lanes,
         vreg_mod.port_groups(n + 1.0, core_cfg.vreg_shared_ports),
     )
     lsu = frontend_mod.lsu_terms(
@@ -219,7 +199,7 @@ def estimate_grid(sub: TechSubstrate, x, n, tx, ty) -> Dict[str, np.ndarray]:
         + lsu.area_mm2
         + mem.area_mm2
     )
-    cdb = cdb_mod.cdb_terms(ctx, 2 * x * in_bits, connected)
+    cdb = cdb_mod.cdb_terms(ctx, 2 * rows * in_bits, connected)
     core_area = connected + cdb.area_mm2
     core_dyn = (
         ifu.dynamic_w
@@ -271,16 +251,16 @@ def estimate_grid(sub: TechSubstrate, x, n, tx, ty) -> Dict[str, np.ndarray]:
     return {
         "area_mm2": chip_area
         + chip_mod.whitespace_area_mm2(
-            chip_area, sub.template_whitespace_fraction
+            chip_area, sub.template_config.whitespace_fraction
         ),
         "dynamic_w": chip_dyn,
         "leakage_w": chip_leak,
         "tdp_w": chip_mod.thermal_design_power_w(chip_dyn, chip_leak),
-        "peak_tops": tops(cores * (n * x * x), sub.freq_ghz),
+        "peak_tops": tops(cores * (n * rows * cols), sub.freq_ghz),
         "timing_ns": chip_cycle,
         "feasible": feasible,
         "core_area_mm2": core_area,
-        "lanes": lanes,
+        "lanes": axes.lanes,
         "mem_capacity_bytes": capacity,
         "mem_block_bytes": block,
         "mem_read_bw_target_gbps": read_bw,

@@ -36,7 +36,7 @@ import numpy as np
 from repro.arch import tensor_unit as tu_mod
 from repro.arch import vector_unit as vu_mod
 from repro.arch import vreg as vreg_mod
-from repro.batch.substrate import TechSubstrate
+from repro.batch.substrate import GridAxes, TechSubstrate
 from repro.errors import MappingError
 from repro.perf.graph import Graph
 from repro.perf.mapping import ArchView
@@ -58,7 +58,7 @@ def _power_inputs(
     sub: TechSubstrate,
     arch: ArchView,
     grid: Dict[str, np.ndarray],
-    n: np.ndarray,
+    axes: GridAxes,
     noc_pj_per_byte: np.ndarray,
 ) -> dict:
     """``runtime_power_report``'s unit counts and energies, per point.
@@ -69,13 +69,14 @@ def _power_inputs(
     """
     tech = sub.tech
     core_cfg = sub.template_config.core
-    lanes = grid["lanes"]
+    lanes = axes.lanes
+    n = axes.tensor_units
     offchip = None
     if "memory_controller" in sub.fixed_blocks:
         offchip = (
             sub.mc_energy_per_byte_pj,
             sub.mc_device_power_w,
-            sub.template_offchip_gbps,
+            sub.template_config.offchip_bandwidth_gbps,
         )
     return dict(
         cores=arch.cores,
@@ -128,10 +129,7 @@ class BatchOutcome:
 def simulate_workloads(
     sub: TechSubstrate,
     grid: Dict[str, np.ndarray],
-    x: np.ndarray,
-    n: np.ndarray,
-    tx: np.ndarray,
-    ty: np.ndarray,
+    axes: GridAxes,
     workloads: Sequence[Tuple[str, Graph]],
     batches: Sequence[object],
     latency_slo_ms: float = DEFAULT_LATENCY_SLO_MS,
@@ -140,9 +138,11 @@ def simulate_workloads(
 ) -> List[BatchOutcome]:
     """Evaluate every (batch regime, workload) pair over all points.
 
-    Each workload is simulated once, over a ``(rows, points)`` batch
-    array.  The rows are the sorted ``BATCH_CANDIDATES`` when any spec is
-    ``"latency-bound"``, then every fixed batch not already among them.
+    ``grid`` is :func:`~repro.batch.kernels.estimate_grid` over the
+    per-point values ``axes``.  Each workload is simulated once, over a
+    ``(rows, points)`` batch array.  The rows are the sorted
+    ``BATCH_CANDIDATES`` when any spec is ``"latency-bound"``, then every
+    fixed batch not already among them.
     The latency-bound batch is ``Simulator.latency_limited_batch`` per
     point: the last sorted candidate whose latency meets the SLO, else
     ``BATCH_CANDIDATES[0]``.  Each outcome gathers its row per point.
@@ -164,15 +164,16 @@ def simulate_workloads(
         return []
 
     opt = opt if opt is not None else OptimizationConfig.all_on()
-    x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    tx = np.asarray(tx, dtype=np.float64)
-    ty = np.asarray(ty, dtype=np.float64)
-    cores = tx * ty
-    arch = ArchView.of_grid(sub, grid, x, n, cores)
+    arch = ArchView.of_grid(sub, grid, axes)
     peak_tops = grid["peak_tops"]
     power_inputs = _power_inputs(
-        sub, arch, grid, n, noc_pj_per_byte(sub, tx, ty, grid["core_area_mm2"])
+        sub,
+        arch,
+        grid,
+        axes,
+        noc_pj_per_byte(
+            sub, axes.cores_x, axes.cores_y, grid["core_area_mm2"]
+        ),
     )
 
     if specs is None:
@@ -182,8 +183,9 @@ def simulate_workloads(
     if min(rows) < 1:
         raise MappingError(f"batch must be >= 1, got {min(rows)}")
     sizes = np.asarray(rows, dtype=np.float64)
-    stacked = sizes.reshape(sizes.shape + (1,) * x.ndim)
-    shape = np.broadcast(stacked, x).shape
+    points = np.shape(axes.cores_x)
+    stacked = sizes.reshape(sizes.shape + (1,) * len(points))
+    shape = sizes.shape + points
     runs = []
     for _, spec in specs:
         run = walk_graph(spec, arch, stacked, opt, np)
@@ -202,7 +204,7 @@ def simulate_workloads(
                     rows.index(BATCH_CANDIDATES[0]),
                 )
             else:
-                row = np.full(x.shape, rows.index(int(batch_spec)))
+                row = np.full(points, rows.index(int(batch_spec)))
             pick = row[np.newaxis]
             result = {
                 key: np.take_along_axis(

@@ -1,29 +1,34 @@
 """Point-independent model state hoisted out of the vectorized hot loop.
 
-A Table I sweep varies only ``(X, N, T_x, T_y)``; everything else — the
-technology node, the clock, and whole blocks whose configuration never
-changes (instruction fetch, scalar unit, memory controller, PCIe, ICI,
-DMA) — is fixed for a given :class:`~repro.arch.component.ModelContext`
-and *preset family*.  :class:`TechSubstrate` evaluates the fixed blocks
-exactly once, through their own ``estimate()`` methods, and keeps the
-family's template configuration: the kernels in :mod:`repro.batch.kernels`
-pass its fixed fields (datatypes, FIFO depth, VU sizing, Mem cell, NoC
-bisection, ...) as scalars to the same ``repro.arch`` closed forms the
-scalar classes call, with the point-dependent quantities as arrays.
+A design point's chip configuration splits in two (:func:`split_config`):
+its *shape*, the configuration with its per-point fields set to 1, and
+its per-point values (:class:`GridAxes`): TU rows and cols, TUs per
+core, VU lanes, the Mem slice's capacity and block, and the core grid.
+The preset factories (:mod:`repro.config.presets`) own how those values
+scale with ``(X, N, T_x, T_y)`` (Sec. III-A, Fig. 6); the batch layer
+reads them from each built configuration.
 
-Two families are modeled: ``"datacenter"`` (the int8 inference preset of
-Table I) and ``"training"`` (the bf16/fp32 TPU-v2-class preset).  Each
-family carries its own template chip and dependent-parameter rules (lane
-count, Mem block/capacity scaling), the one part of the preset still
-restated here in closed form.
+Everything else is fixed for a ``(ModelContext, shape)`` pair.
+:class:`TechSubstrate` evaluates the fixed blocks (instruction fetch,
+scalar unit, memory controller, PCIe, ICI, DMA) exactly once, through
+their own ``estimate()`` methods, and keeps the shape: the kernels in
+:mod:`repro.batch.kernels` pass its fields (datatypes, FIFO depth, VU
+sizing, Mem cell, NoC bisection, ...) as scalars to the same
+``repro.arch`` closed forms the scalar classes call, with the per-point
+values as arrays.
+
+The kernels model the shapes of the two preset templates
+(:data:`MODELED_SHAPES`): the int8 inference chip of Table I and the
+bf16/fp32 TPU-v2-class training chip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+import threading
+from dataclasses import dataclass, replace
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from typing import Optional
+import numpy as np
 
 from repro.arch.chip import Chip, ChipConfig
 from repro.arch.component import Estimate, ModelContext
@@ -32,43 +37,88 @@ from repro.config.presets import (
     datacenter_design_point,
     datacenter_training_point,
 )
-from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.units import MiB
 
-#: The default preset family (the original vector-backend scope).
-DEFAULT_FAMILY = "datacenter"
 
-#: Preset factory per family, probed at the smallest template point.
-FAMILY_BUILDERS: Dict[str, Callable[[int, int, int, int], Chip]] = {
-    "datacenter": datacenter_design_point,
-    "training": datacenter_training_point,
-}
+class GridAxes(NamedTuple):
+    """The per-point values of a configuration, or of a grid of them.
 
-#: Dependent-parameter rules the kernels need in closed form.  The probe
-#: template fixes every *constant*; these capture how the presets scale
-#: the VU lane count and the Mem slice with the TU length ``X`` and the
-#: core count: ``lanes = max(lane_mult * X, lane_floor)``,
-#: ``block = max(block_mult * X, block_floor)``,
-#: ``capacity = max(pool // cores, floor)``.
-_FAMILY_RULES: Dict[str, Dict[str, int]] = {
-    "datacenter": {
-        "lane_mult": 1,
-        "lane_floor": 1,
-        "block_mult": 1,
-        "block_floor": 32,
-        "mem_pool_bytes": 32 * MiB,
-        "mem_floor_bytes": 64 * 1024,
-    },
-    "training": {
-        "lane_mult": 2,
-        "lane_floor": 32,
-        "block_mult": 2,
-        "block_floor": 64,
-        "mem_pool_bytes": 64 * MiB,
-        "mem_floor_bytes": 256 * 1024,
-    },
-}
+    :func:`split_config` reads one configuration's values as ints;
+    :meth:`stack` turns a list of them into parallel float64 arrays, the
+    form ``estimate_grid`` and ``simulate_workloads`` take.
+    """
+
+    tu_rows: Any
+    tu_cols: Any
+    tensor_units: Any
+    #: ``CoreConfig.vector_lanes``: the VU lanes and VReg width.
+    lanes: Any
+    mem_capacity_bytes: Any
+    mem_block_bytes: Any
+    cores_x: Any
+    cores_y: Any
+
+    @classmethod
+    def stack(cls, rows: Sequence["GridAxes"]) -> "GridAxes":
+        """Per-point values as float64 arrays, one element per row."""
+        return cls(*np.array(tuple(zip(*rows)), dtype=np.float64))
+
+    @property
+    def cores(self):
+        return self.cores_x * self.cores_y
+
+
+def shape_of(config: ChipConfig) -> ChipConfig:
+    """``config`` with every per-point field (see :class:`GridAxes`) 1."""
+    core = config.core
+    return replace(
+        config,
+        core=replace(
+            core,
+            tu=None if core.tu is None else replace(core.tu, rows=1, cols=1),
+            tensor_units=1,
+            vu=None if core.vu is None else replace(core.vu, lanes=1),
+            mem=replace(core.mem, capacity_bytes=1, block_bytes=1),
+        ),
+        cores_x=1,
+        cores_y=1,
+    )
+
+
+#: The shapes the kernels evaluate: those of the two preset templates.
+MODELED_SHAPES: Tuple[ChipConfig, ...] = tuple(
+    shape_of(build(1, 1, 1, 1).config)
+    for build in (datacenter_design_point, datacenter_training_point)
+)
+
+
+def split_config(
+    config: ChipConfig,
+) -> Tuple[Optional[ChipConfig], Optional[GridAxes]]:
+    """``(shape, values)`` of a configuration the kernels model.
+
+    ``shape`` is the :data:`MODELED_SHAPES` entry itself, so callers can
+    group points by identity; ``(None, None)`` when the configuration's
+    shape is not modeled.  The check compares frozen config dataclasses,
+    so it is exact: a configuration differing from a modeled shape in
+    any field but the per-point ones, down to a single coefficient, is
+    not modeled.
+    """
+    shape = shape_of(config)
+    for modeled in MODELED_SHAPES:
+        if shape == modeled:
+            core = config.core
+            return modeled, GridAxes(
+                core.tu.rows,
+                core.tu.cols,
+                core.tensor_units,
+                core.vector_lanes,
+                core.mem.capacity_bytes,
+                core.mem.block_bytes,
+                config.cores_x,
+                config.cores_y,
+            )
+    return None, None
 
 
 @dataclass(frozen=True)
@@ -98,27 +148,15 @@ class TechSubstrate:
     tech: TechNode
     freq_ghz: float
     cycle_ns: float
-    #: the preset family this substrate models.
-    family: str
     #: name -> rollup for IFU / scalar unit / MC / PCIe / ICI / DMA.
     fixed_blocks: Dict[str, BlockScalars]
-    #: the probe chip's configuration; kernels read the point-independent
-    #: knobs (cell dtype/control gates, FIFO depth, NoC bisection, ...) from
-    #: here so preset changes flow into the vector path automatically.
+    #: the shape; kernels read the point-independent knobs (cell
+    #: dtype/control gates, FIFO depth, NoC bisection, ...) from here.
     template_config: ChipConfig
     #: the VU configuration (dtype / SFU gates / pipeline depth; the lane
-    #: count is re-derived per point from the lane rule below).
+    #: count is each point's own).
     template_vu_config: VectorUnitConfig
     template_lsu_queue_entries: int
-    template_mem_pool_bytes: int
-    template_mem_slice_floor_bytes: int
-    template_mem_block_mult: int
-    template_mem_block_floor: int
-    template_lane_mult: int
-    template_lane_floor: int
-    template_noc_bisection_gbps: float
-    template_offchip_gbps: float
-    template_whitespace_fraction: float
     #: scalar-unit energy per active cycle (``None`` without an SU) and
     #: memory-controller traffic coefficients, for runtime power.
     su_energy_pj: Optional[float]
@@ -135,25 +173,14 @@ class TechSubstrate:
         )
 
     @classmethod
-    def build(
-        cls, ctx: ModelContext, family: str = DEFAULT_FAMILY
-    ) -> "TechSubstrate":
-        """Hoist scalars and fixed-block estimates for ``(ctx, family)``.
+    def build(cls, ctx: ModelContext, shape: ChipConfig) -> "TechSubstrate":
+        """Hoist the fixed-block estimates for ``(ctx, shape)``.
 
-        The probe chip is the smallest template of the family; the blocks
-        harvested from it (IFU, scalar unit, memory controller, PCIe, ICI,
-        DMA) are configured identically at every point of the family's
-        grid, which is exactly what the vector-path support check
-        guarantees.
+        The blocks harvested from a chip of the shape (IFU, scalar unit,
+        memory controller, PCIe, ICI, DMA) depend on no per-point value,
+        so they are those of every point of the shape.
         """
-        builder = FAMILY_BUILDERS.get(family)
-        rules = _FAMILY_RULES.get(family)
-        if builder is None or rules is None:
-            raise ConfigurationError(
-                f"unknown vector-backend preset family {family!r}; "
-                f"expected one of {sorted(FAMILY_BUILDERS)}"
-            )
-        template = builder(4, 1, 1, 1)
+        template = Chip(shape)
         core = template.core
         su_energy_pj = None
         if core.scalar_unit is not None:
@@ -173,37 +200,23 @@ class TechSubstrate:
             )
             mc_energy_per_byte_pj = mc.energy_per_byte_pj()
             mc_device_power_w = mc.device_power_w()
-        if template.config.pcie is not None:
+        if shape.pcie is not None:
             fixed["pcie"] = BlockScalars.from_estimate(
-                template.config.pcie.estimate(ctx)
+                shape.pcie.estimate(ctx)
             )
-        if template.config.ici is not None:
-            fixed["ici"] = BlockScalars.from_estimate(
-                template.config.ici.estimate(ctx)
-            )
-        if template.config.dma is not None:
-            fixed["dma"] = BlockScalars.from_estimate(
-                template.config.dma.estimate(ctx)
-            )
+        if shape.ici is not None:
+            fixed["ici"] = BlockScalars.from_estimate(shape.ici.estimate(ctx))
+        if shape.dma is not None:
+            fixed["dma"] = BlockScalars.from_estimate(shape.dma.estimate(ctx))
         return cls(
             ctx=ctx,
             tech=ctx.tech,
             freq_ghz=ctx.freq_ghz,
             cycle_ns=ctx.cycle_ns,
-            family=family,
             fixed_blocks=fixed,
-            template_config=template.config,
+            template_config=shape,
             template_vu_config=core.vector_unit.config,
             template_lsu_queue_entries=core.lsu.queue_entries,
-            template_mem_pool_bytes=rules["mem_pool_bytes"],
-            template_mem_slice_floor_bytes=rules["mem_floor_bytes"],
-            template_mem_block_mult=rules["block_mult"],
-            template_mem_block_floor=rules["block_floor"],
-            template_lane_mult=rules["lane_mult"],
-            template_lane_floor=rules["lane_floor"],
-            template_noc_bisection_gbps=template.config.noc_bisection_gbps,
-            template_offchip_gbps=template.config.offchip_bandwidth_gbps,
-            template_whitespace_fraction=template.config.whitespace_fraction,
             su_energy_pj=su_energy_pj,
             mc_energy_per_byte_pj=mc_energy_per_byte_pj,
             mc_device_power_w=mc_device_power_w,
@@ -211,8 +224,8 @@ class TechSubstrate:
 
 
 #: Chip-level fixed-block order, mirroring `Chip.estimate` (the ICI entry
-#: exists only for families whose template configures one, so the float
-#: accumulation order matches the scalar walk for both cases).
+#: exists only for shapes that configure one, so the float accumulation
+#: order matches the scalar walk for both cases).
 _CHIP_FIXED_NAMES: Tuple[str, ...] = (
     "memory_controller",
     "pcie",
@@ -220,21 +233,27 @@ _CHIP_FIXED_NAMES: Tuple[str, ...] = (
     "dma",
 )
 
-_SUBSTRATES: Dict[Tuple[ModelContext, str], TechSubstrate] = {}
+#: Substrates kept; a daemon sees a new context with every new clock.
+MAX_SUBSTRATES = 32
+
+#: ``(ctx, shape)`` -> substrate, least recently used first.
+_SUBSTRATES: Dict[Tuple[ModelContext, ChipConfig], TechSubstrate] = {}
+_SUBSTRATES_LOCK = threading.Lock()
 
 
-def substrate_for(
-    ctx: ModelContext, family: str = DEFAULT_FAMILY
-) -> TechSubstrate:
-    """Build (or reuse) the substrate for ``(ctx, family)``.
+def substrate_for(ctx: ModelContext, shape: ChipConfig) -> TechSubstrate:
+    """Build (or reuse) the substrate for ``(ctx, shape)``.
 
-    Substrates are cached per (context, family): a sweep calls this once
-    per family it touches, and repeated sweeps in one process (CLI,
-    benchmarks, tests) share the hoisted state.
+    Repeated sweeps in one process (CLI, benchmarks, tests, the daemon)
+    share the hoisted state; past :data:`MAX_SUBSTRATES` entries the
+    least recently used one is dropped.
     """
-    key = (ctx, family)
-    cached = _SUBSTRATES.get(key)
-    if cached is None:
-        cached = TechSubstrate.build(ctx, family)
-        _SUBSTRATES[key] = cached
-    return cached
+    key = (ctx, shape)
+    with _SUBSTRATES_LOCK:
+        substrate = _SUBSTRATES.pop(key, None)
+        if substrate is None:
+            substrate = TechSubstrate.build(ctx, shape)
+        _SUBSTRATES[key] = substrate
+        if len(_SUBSTRATES) > MAX_SUBSTRATES:
+            del _SUBSTRATES[next(iter(_SUBSTRATES))]
+        return substrate

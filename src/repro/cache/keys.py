@@ -76,6 +76,8 @@ def canonicalize(obj: Any, _depth: int = 0) -> Any:
             ),
         )
     if isinstance(obj, (tuple, list)):
+        if all(type(v) is int for v in obj):
+            return ("seq", tuple(obj))  # plain ints are their own form
         return ("seq", tuple(canonicalize(v, _depth + 1) for v in obj))
     if isinstance(obj, (set, frozenset)):
         members = [canonicalize(v, _depth + 1) for v in obj]

@@ -935,10 +935,11 @@ class _SweepRun:
             reason = batch.fallback_reasons.get(offset, UNSUPPORTED_CONFIG)
             if mode == "vector" and reason == UNSUPPORTED_CONFIG:
                 raise ConfigurationError(
-                    f"{task.point.label()} does not build a preset "
-                    "configuration the vector backend models (the "
-                    "datacenter or training family); use backend='auto' "
-                    "to fall back to the scalar path for such points"
+                    f"{task.point.label()} builds a configuration whose "
+                    "shape the vector backend does not model (it models "
+                    "the datacenter and training presets' shapes); use "
+                    "backend='auto' to fall back to the scalar path for "
+                    "such points"
                 )
             if mode == "vector" and reason == SCREEN_FAILED:
                 error = NumericalError(

@@ -112,37 +112,37 @@ class ArchView:
         )
 
     @classmethod
-    def of_grid(cls, sub, grid, x, n, cores) -> "ArchView":
-        """The view of a preset family's points, as float64 arrays.
+    def of_grid(cls, sub, grid, axes) -> "ArchView":
+        """The view of one modeled shape's points, as float64 arrays.
 
-        ``sub`` is the family's :class:`~repro.batch.substrate.TechSubstrate`
-        and ``grid`` the ``estimate_grid`` outputs over the ``(x, n,
-        cores)`` arrays.  Mirrors :meth:`of`: the Mem bandwidth is the
-        chosen SRAM organization's aggregate bandwidth times the core
-        count, the NoC carries the bisection bandwidth only on multi-core
-        chips, and the MAC throughput is ``cores * N * X**2``.
+        ``sub`` is the shape's :class:`~repro.batch.substrate.TechSubstrate`,
+        ``axes`` the points' per-point values
+        (:class:`~repro.batch.substrate.GridAxes`) and ``grid`` the
+        ``estimate_grid`` outputs over them.  Mirrors :meth:`of`: the Mem
+        bandwidth is the chosen SRAM organization's aggregate bandwidth
+        times the core count, the NoC carries the bisection bandwidth
+        only on multi-core chips, and the MAC throughput is
+        ``cores * N * rows * cols``.
         """
-        x = np.asarray(x, dtype=np.float64)
-        n = np.asarray(n, dtype=np.float64)
-        cores = np.asarray(cores, dtype=np.float64)
+        config = sub.template_config
+        cores = axes.cores
+        n = axes.tensor_units
         return cls(
-            tu_rows=x,
-            tu_cols=x,
+            tu_rows=axes.tu_rows,
+            tu_cols=axes.tu_cols,
             tus=cores * n,
             cores=cores,
-            vu_lanes_total=cores * grid["lanes"],
-            macs_per_cycle=cores * (n * (x * x)),
+            vu_lanes_total=cores * axes.lanes,
+            macs_per_cycle=cores * (n * (axes.tu_rows * axes.tu_cols)),
             freq_ghz=sub.freq_ghz,
-            mem_capacity_bytes=cores * grid["mem_capacity_bytes"],
+            mem_capacity_bytes=cores * axes.mem_capacity_bytes,
             mem_read_gbps=cores * grid["mem_peak_read_gbps"],
             mem_write_gbps=cores * grid["mem_peak_write_gbps"],
-            noc_gbps=np.where(
-                cores > 1, sub.template_noc_bisection_gbps, 0.0
-            ),
+            noc_gbps=np.where(cores > 1, config.noc_bisection_gbps, 0.0),
             offchip_gbps=np.full(
-                cores.shape, sub.template_offchip_gbps, dtype=np.float64
+                cores.shape, config.offchip_bandwidth_gbps, dtype=np.float64
             ),
-            dataflow=sub.template_config.core.tu.dataflow,
+            dataflow=config.core.tu.dataflow,
         )
 
 

@@ -233,11 +233,11 @@ class ServeApp:
         self.fallback_counts: Counter = Counter()
         self._request_ids = itertools.count(1)
         self._sweep_ids = itertools.count(1)
-        # Value-stable workload/context objects: PoolJobConfig compares
-        # graphs by identity, so reusing these keeps pool workers warm
-        # across requests for the same recipe.
+        # Value-stable workload objects: PoolJobConfig compares graphs by
+        # identity, so reusing these keeps pool workers warm across
+        # requests for the same recipe.  Contexts compare by value, so
+        # each request builds its own.
         self._graphs: dict = {}
-        self._contexts: dict = {}
         self._lock = threading.Lock()
 
     # -- shared hot objects --------------------------------------------------
@@ -266,18 +266,15 @@ class ServeApp:
             return None  # engine default (Table I context)
         # Given values pass through as given: the node table and the
         # context reject out-of-range ones (both answer 400).
-        key = (
+        feature_nm = (
             float(DATACENTER_TECH_NM)
             if node is None
-            else _number(node, "node"),
-            DATACENTER_FREQ_GHZ if freq is None else _number(freq, "freq"),
+            else _number(node, "node")
         )
-        with self._lock:
-            if key not in self._contexts:
-                self._contexts[key] = ModelContext(
-                    tech=tech_node(key[0]), freq_ghz=key[1]
-                )
-            return self._contexts[key]
+        freq_ghz = (
+            DATACENTER_FREQ_GHZ if freq is None else _number(freq, "freq")
+        )
+        return ModelContext(tech=tech_node(feature_nm), freq_ghz=freq_ghz)
 
     def _deadline_s(self, request: Request, body: dict) -> float:
         """The request's wall budget: header, else body, else the default."""

@@ -11,7 +11,9 @@ SIGTERM (and SIGINT) mean *drain*, not die:
    exits 0.
 
 A second signal during the grace window skips the wait and tears down
-immediately (still exit 0 — the journals are already consistent).
+immediately (still exit 0 — the journals are already consistent).  Once
+the drain is over, further stop signals are ignored until the process
+exits.
 
 SIGHUP means *reload*, not restart: when the daemon was booted with
 ``--reload-config PATH``, the handler re-reads that JSON file on the
@@ -114,20 +116,22 @@ async def _serve_until_drained(
 def run_server(
     config: ServeConfig, app: Optional[ServeApp] = None
 ) -> int:
-    """Boot the daemon and block until it drains; returns the exit code."""
+    """Boot the daemon and block until it drains; returns the exit code.
+
+    Returns with SIGTERM and SIGINT ignored: the caller is the exiting
+    daemon.
+    """
     app = app if app is not None else ServeApp(config)
     try:
         return asyncio.run(_serve_until_drained(app))
     finally:
-        # Closing the loop restored the default SIGTERM/SIGINT actions; a
-        # second signal during the teardown below must not kill the
-        # daemon with the journals half flushed.
-        stops = (signal.SIGTERM, signal.SIGINT)
-        previous = {sig: signal.signal(sig, signal.SIG_IGN) for sig in stops}
-        try:
-            app.close()
-            print("neurometer serve: drained, exiting", file=sys.stderr,
-                  flush=True)
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
+        # Closing the loop restored the default SIGTERM/SIGINT actions.  A
+        # second signal that arrives after the drain finished must neither
+        # kill the teardown below with the journals half flushed nor turn
+        # the clean exit after it into death by signal, so both stay
+        # ignored from here on.
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, signal.SIG_IGN)
+        app.close()
+        print("neurometer serve: drained, exiting", file=sys.stderr,
+              flush=True)

@@ -49,7 +49,7 @@ from repro.arch.tensor_unit import (
 from repro.arch.vector_unit import VectorUnitConfig
 from repro.batch.kernels import estimate_grid
 from repro.batch.perf import simulate_workloads
-from repro.batch.substrate import substrate_for
+from repro.batch.substrate import GridAxes, split_config, substrate_for
 from repro.config import presets
 from repro.datatypes import BF16, INT16
 from repro.errors import NeuroMeterError
@@ -122,6 +122,11 @@ ACTIVITIES = (
 
 #: Vector-path recipe: seeded expanded-space points per (family, context).
 VECTOR_POINTS = 32
+#: The preset factory behind each vector family label.
+VECTOR_PRESETS = {
+    "datacenter": presets.datacenter_design_point,
+    "training": presets.datacenter_training_point,
+}
 VECTOR_BATCHES = (1, "latency-bound", 64)
 
 
@@ -363,11 +368,15 @@ def vector_points(seed: int) -> list:
 
 def vector_entry(family: str, ctx: ModelContext, points: list) -> dict:
     """``estimate_grid`` fields and ``simulate_workloads`` outcomes."""
-    x, n, tx, ty = (np.asarray(axis, dtype=float) for axis in zip(*points))
-    sub = substrate_for(ctx, family)
-    grid = estimate_grid(sub, x, n, tx, ty)
+    split = [
+        split_config(VECTOR_PRESETS[family](*point).config) for point in points
+    ]
+    (shape,) = {shape for shape, _ in split}
+    axes = GridAxes.stack([values for _, values in split])
+    sub = substrate_for(ctx, shape)
+    grid = estimate_grid(sub, axes)
     outcomes = simulate_workloads(
-        sub, grid, x, n, tx, ty, _vector_workloads(), VECTOR_BATCHES
+        sub, grid, axes, _vector_workloads(), VECTOR_BATCHES
     )
     return {
         "grid": {

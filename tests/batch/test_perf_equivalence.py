@@ -15,6 +15,7 @@ import pytest
 from repro.arch.component import ModelContext
 from repro.batch import BatchEstimator
 from repro.batch.estimator import SRAM_INFEASIBLE
+from repro.cache import estimate_cache_disabled
 from repro.config.presets import datacenter_context
 from repro.dse.space import TU_LENGTHS, TUS_PER_CORE, DesignPoint, _grids
 from repro.dse.sweep import evaluate_point
@@ -167,7 +168,8 @@ def test_cache_can_be_disabled_per_estimator():
     ctx = datacenter_context()
     subset = [DesignPoint(16, 1, 2, 2)]
     cached = BatchEstimator(ctx).estimate_points(subset)
-    uncached = BatchEstimator(ctx, use_cache=False).estimate_points(subset)
+    with estimate_cache_disabled():
+        uncached = BatchEstimator(ctx).estimate_points(subset)
     (a,) = cached.summaries
     (b,) = uncached.summaries
     for name in _METRICS:

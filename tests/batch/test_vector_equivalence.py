@@ -4,7 +4,7 @@ The vectorized kernels call the scalar models' circuit closed forms and
 transcribe how ``repro.arch`` assembles them, so the two paths must agree
 to float round-off (the acceptance bar is 1e-9 relative) on the *entire*
 Table I grid — not a sample — and exactly off the default context.
-Unsupported configurations (chips no kernel family transcribes) must be
+Unsupported configurations (chips whose shape no kernel models) must be
 detected and routed through the scalar path, and build failures must
 surface the original error instead of masquerading as configuration
 mismatches.
@@ -17,7 +17,7 @@ import math
 import pytest
 
 from repro.arch.component import Estimate, ModelContext
-from repro.batch import BatchEstimator, supports_vector_path
+from repro.batch import BatchEstimator
 from repro.batch.estimator import (
     BUILD_FAILED,
     SRAM_INFEASIBLE,
@@ -70,7 +70,7 @@ class TrainingPoint(DesignPoint):
 
 
 class ForeignPoint(DesignPoint):
-    """A point building a chip no kernel family transcribes."""
+    """A point building a chip whose shape no kernel models."""
 
     def build(self):
         return tpu_v1()
@@ -150,24 +150,27 @@ def test_full_grid_pinned_regression():
 
 
 def test_preset_families_are_vector_supported():
-    assert supports_vector_path(DesignPoint(16, 1, 2, 2))
-    assert supports_vector_path(TrainingPoint(16, 1, 2, 2))
-    assert classify_point(DesignPoint(16, 1, 2, 2)) == ("datacenter", None)
-    assert classify_point(TrainingPoint(16, 1, 2, 2)) == ("training", None)
+    base, base_values, base_error = classify_point(DesignPoint(16, 1, 2, 2))
+    training, training_values, training_error = classify_point(
+        TrainingPoint(16, 1, 2, 2)
+    )
+    assert base is not None and training is not None
+    assert base != training
+    assert base_error is None and training_error is None
+    assert base_values.lanes == 16
+    assert training_values.lanes == 32
 
 
 def test_foreign_config_is_not_vector_supported():
-    assert not supports_vector_path(ForeignPoint(16, 1, 2, 2))
-    assert classify_point(ForeignPoint(16, 1, 2, 2)) == (None, None)
+    assert classify_point(ForeignPoint(16, 1, 2, 2)) == (None, None, None)
 
 
 def test_build_failure_surfaces_the_original_error():
     """A raising build() must not be misfiled as a config mismatch."""
-    family, error = classify_point(BrokenPoint(16, 1, 2, 2))
-    assert family is None
+    shape, values, error = classify_point(BrokenPoint(16, 1, 2, 2))
+    assert shape is None and values is None
     assert isinstance(error, RuntimeError)
     assert "intentional build failure" in str(error)
-    assert not supports_vector_path(BrokenPoint(16, 1, 2, 2))
 
 
 def test_auto_backend_falls_back_to_scalar_identically():

@@ -16,6 +16,7 @@ import pytest
 import repro.batch.perf as batch_perf
 import repro.cache.keys as cache_keys
 from repro.batch import BatchEstimator
+from repro.cache import estimate_cache_disabled
 from repro.config.presets import datacenter_context
 from repro.dse.space import DesignPoint
 from repro.dse.sweep import evaluate_point
@@ -66,10 +67,11 @@ def test_vector_sweep_simulates_each_workload_once(
     ]
     points = [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)]
     calls = _count_calls(monkeypatch, batch_perf, "walk_graph")
-    estimator = BatchEstimator(datacenter_context(), use_cache=False)
-    result = estimator.estimate_points(
-        points, workloads=workloads, batches=batches
-    )
+    estimator = BatchEstimator(datacenter_context())
+    with estimate_cache_disabled():
+        result = estimator.estimate_points(
+            points, workloads=workloads, batches=batches
+        )
     assert result.fallback_reasons == {}
     for summary in result.summaries:
         assert len(summary.outcomes) == len(batches) * len(workloads)
@@ -106,16 +108,19 @@ def test_second_scalar_evaluation_flattens_no_layer(monkeypatch):
 
 def test_second_vector_estimate_flattens_no_layer(monkeypatch):
     workloads = _fig10_workloads()
-    estimator = BatchEstimator(datacenter_context(), use_cache=False)
-    estimator.estimate_points(
-        [DesignPoint(64, 2, 2, 4)], workloads=workloads, batches=FIG10_BATCHES
-    )
-    calls = _count_calls(monkeypatch, LayerNode, "cost")
-    result = estimator.estimate_points(
-        [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)],
-        workloads=workloads,
-        batches=FIG10_BATCHES,
-    )
+    estimator = BatchEstimator(datacenter_context())
+    with estimate_cache_disabled():
+        estimator.estimate_points(
+            [DesignPoint(64, 2, 2, 4)],
+            workloads=workloads,
+            batches=FIG10_BATCHES,
+        )
+        calls = _count_calls(monkeypatch, LayerNode, "cost")
+        result = estimator.estimate_points(
+            [DesignPoint(16, 1, 2, 2), DesignPoint(128, 2, 4, 2)],
+            workloads=workloads,
+            batches=FIG10_BATCHES,
+        )
     assert result.fallback_reasons == {}
     assert len(calls) == 0
 
