@@ -265,6 +265,14 @@ class Terms(NamedTuple):
             cycle_time_ns=float(self.cycle_time_ns),
         )
 
+    def replicated(self, count) -> "Terms":
+        """:meth:`Estimate.replicated` over terms: ``count`` broadcasts."""
+        return self._replace(
+            area_mm2=self.area_mm2 * count,
+            dynamic_w=self.dynamic_w * count,
+            leakage_w=self.leakage_w * count,
+        )
+
     @classmethod
     def compose(cls, name: str, parts) -> "Terms":
         """:meth:`Estimate.compose` over terms: the same sums, in order."""

@@ -7,22 +7,25 @@ two-read-one-write VMem banking).  The cell type is selectable between
 DFF, SRAM, and eDRAM, and the structure may be unified (TPU-v1's unified
 buffer) or dedicated (Eyeriss's per-function banks).
 
-The SRAM/eDRAM rollup is one function of the chosen organization, which
-may be an :class:`~repro.circuit.sram.SramArray` or an array
-:class:`~repro.circuit.sram.Organization`: the batch kernels evaluate it
-over the organizations their lattice search picks for a whole grid.
+The Mem's rules and rollup are written once, over numbers for
+:class:`OnChipMemory` or arrays for the batch kernels' grids.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.arch.component import Estimate, ModelContext, Terms, cached_estimate
-from repro.circuit.dff import DffBank
+from repro.circuit.dff import (
+    DffBank,
+    dff_active_energy_pj,
+    dff_area_mm2,
+    dff_leakage_w,
+)
 from repro.circuit.edram import (
     edram_access_latency_ns,
     edram_area_mm2,
@@ -32,9 +35,12 @@ from repro.circuit.edram import (
 )
 from repro.circuit.gates import logic_area_mm2, logic_energy_pj, logic_leakage_w
 from repro.circuit.sram import (
+    Organization,
     SramArray,
     SramRequirements,
+    lattice_organization,
     optimize_sram,
+    search_lattice,
     sram_access_latency_ns,
     sram_area_mm2,
     sram_leakage_w,
@@ -53,6 +59,9 @@ CACHE_TAG_BITS_PER_BLOCK = 28
 
 #: Memory controller / arbitration logic per bank.
 BANK_CONTROL_GATES = 3_000
+
+#: Largest DFF-based Mem the model accepts.
+DFF_MAX_CAPACITY_BYTES = 65536
 
 
 class MemCellKind(enum.Enum):
@@ -92,26 +101,107 @@ ARRAY_MODELS = {
 }
 
 
-def array_memory_terms(
-    ctx: ModelContext,
-    org,
-    cell: MemCellKind,
-    read_energy_pj,
-    write_energy_pj,
-    read_bandwidth_gbps,
-    write_bandwidth_gbps,
-    latency_cycles: int,
-    scratchpad: bool = True,
-) -> Terms:
-    """An SRAM or eDRAM Mem of organization ``org``, at the TDP access rate.
+def mem_bandwidth_targets_gbps(
+    config: "OnChipMemoryConfig", operand_bytes_per_cycle, freq_ghz
+):
+    """The Mem's (read, write) targets: the configured ones, or enough
+    to stream every compute unit's operands (half of that for writes)."""
+    operand_gbps = operand_bytes_per_cycle * freq_ghz
+    read, write = config.read_bandwidth_gbps, config.write_bandwidth_gbps
+    return (
+        read if read > 0 else operand_gbps,
+        write if write > 0 else operand_gbps / 2.0,
+    )
 
-    ``org`` is an :class:`SramArray` or an array ``Organization``; the
-    per-access energies (its ``ARRAY_MODELS`` ones, which runtime power
-    also reads) and the bandwidth targets broadcast with it.  A cache
-    (``scratchpad`` false) adds its tag logic.
+
+def oversized_dff(cell: MemCellKind, capacity_bytes):
+    """Where the model rejects the Mem: a DFF one above 64 KiB."""
+    too_large = capacity_bytes > DFF_MAX_CAPACITY_BYTES
+    return (cell is MemCellKind.DFF) & too_large
+
+
+def floored_banks(banks, min_banks: int):
+    """The searched bank count raised to the configured floor."""
+    return np.maximum(banks, min_banks)
+
+
+def latency_bound_ns(ctx: ModelContext, config: "OnChipMemoryConfig"):
+    """The pipelined access-latency budget the organization must meet."""
+    return config.latency_cycles * ctx.cycle_ns
+
+
+def searched_organizations(
+    ctx: ModelContext, config: "OnChipMemoryConfig", capacity, block, *targets
+) -> tuple[np.ndarray, Organization]:
+    """:meth:`OnChipMemory.organization` per point, over arrays.
+
+    Returns a mask of the points the scalar path organizes without
+    raising, and their organizations, searched once per distinct
+    requirement row.  A failing point (no feasible candidate, or floored
+    banks that cannot each hold a block) gets a NaN bank count, which
+    poisons every quantity derived from its organization.
+    """
+    rows = np.stack(np.broadcast_arrays(capacity, block, *targets))
+    unique, inverse = np.unique(
+        rows.reshape(4, -1), axis=1, return_inverse=True
+    )
+    index = search_lattice(
+        ctx.tech,
+        ctx.freq_ghz,
+        unique[0],
+        unique[1],
+        latency_bound_ns(ctx, config),
+        unique[2],
+        unique[3],
+    )[inverse.reshape(-1)].reshape(rows.shape[1:])
+    chosen = np.where(index >= 0, index, 0)
+    org = lattice_organization(rows[0], rows[1], chosen)
+    banks = floored_banks(org.banks, config.min_banks)
+    feasible = (index >= 0) & (rows[0] >= banks * rows[1])
+    return feasible, org._replace(banks=np.where(feasible, banks, np.nan))
+
+
+def access_energies_pj(tech, config: "OnChipMemoryConfig", capacity, org):
+    """(read, write) energy of one block access: a DFF Mem clocks its
+    whole flop bank to write and half to read; arrays use ``org``."""
+    if config.cell is MemCellKind.DFF:
+        write = dff_active_energy_pj(tech, capacity * 8)
+        return write * 0.5, write
+    model = ARRAY_MODELS[config.cell]
+    return model.read_energy_pj(tech, org), model.write_energy_pj(tech, org)
+
+
+def memory_terms(
+    ctx: ModelContext,
+    config: "OnChipMemoryConfig",
+    capacity_bytes,
+    org,
+    energies_pj,
+    targets_gbps,
+) -> Terms:
+    """A Mem built like ``config``, at the TDP access rate.
+
+    A DFF Mem is a flop bank of ``capacity_bytes``; an SRAM or eDRAM one
+    has organization ``org`` (an :class:`SramArray` or an array
+    ``Organization``), with which the (read, write) energies and targets
+    broadcast.  A cache (``scratchpad`` false) adds its tag logic.
     """
     tech = ctx.tech
-    model = ARRAY_MODELS[cell]
+    read_energy_pj, write_energy_pj = energies_pj
+    read_bandwidth_gbps, write_bandwidth_gbps = targets_gbps
+    if config.cell is MemCellKind.DFF:
+        bits = capacity_bytes * 8
+        return Terms(
+            name="on-chip memory",
+            area_mm2=dff_area_mm2(tech, bits) * 1.15,
+            dynamic_w=dynamic_power_w(
+                write_energy_pj * calibration.CLOCK_NETWORK_OVERHEAD,
+                ctx.freq_ghz,
+            )
+            * calibration.TDP_ACTIVITY["memory"],
+            leakage_w=dff_leakage_w(tech, bits),
+        )
+    model = ARRAY_MODELS[config.cell]
     # TDP traffic: sustain the configured bandwidth targets (what the
     # compute units actually demand), bounded by the physical ports.
     bytes_per_cycle = org.block_bytes * ctx.freq_ghz
@@ -130,7 +220,7 @@ def array_memory_terms(
     area = model.area_mm2(tech, org) + logic_area_mm2(tech, control_gates)
     leak = model.leakage_w(tech, org) + logic_leakage_w(tech, control_gates)
     energy += logic_energy_pj(tech, control_gates)
-    if not scratchpad:
+    if not config.scratchpad:
         tag_gates = (
             org.capacity_bytes // org.block_bytes * CACHE_TAG_BITS_PER_BLOCK // 2
         )
@@ -145,7 +235,8 @@ def array_memory_terms(
         )
         * calibration.TDP_ACTIVITY["memory"],
         leakage_w=leak,
-        cycle_time_ns=model.access_latency_ns(tech, org) / latency_cycles,
+        cycle_time_ns=model.access_latency_ns(tech, org)
+        / config.latency_cycles,
     )
 
 
@@ -189,7 +280,7 @@ class OnChipMemory:
     """Analytical model of the on-chip memory with auto-banking."""
 
     def __init__(self, config: OnChipMemoryConfig):
-        if config.cell is MemCellKind.DFF and config.capacity_bytes > 65536:
+        if oversized_dff(config.cell, config.capacity_bytes):
             raise ConfigurationError(
                 "DFF-based Mem above 64 KiB is not a sensible design point"
             )
@@ -223,37 +314,38 @@ class OnChipMemory:
             capacity_bytes=cfg.capacity_bytes,
             block_bytes=cfg.block_bytes,
             freq_ghz=ctx.freq_ghz,
-            target_latency_ns=cfg.latency_cycles * ctx.cycle_ns,
+            target_latency_ns=latency_bound_ns(ctx, cfg),
             target_read_bandwidth_gbps=cfg.read_bandwidth_gbps,
             target_write_bandwidth_gbps=cfg.write_bandwidth_gbps,
         )
         organization = optimize_sram(requirements, ctx.tech)
-        if organization.banks < cfg.min_banks:
-            organization = SramArray(
-                capacity_bytes=cfg.capacity_bytes,
-                block_bytes=cfg.block_bytes,
-                banks=cfg.min_banks,
-                read_ports=organization.read_ports,
-                write_ports=organization.write_ports,
-                subarray_rows=organization.subarray_rows,
-            )
-        return organization
+        return replace(
+            organization,
+            banks=int(floored_banks(organization.banks, cfg.min_banks)),
+        )
 
     # -- per-access quantities (used by the runtime power model) ------------
 
+    def _array_organization(self, ctx: ModelContext):
+        """The organization, for SRAM and eDRAM cells (DFF Mems have none)."""
+        if self.config.cell is MemCellKind.DFF:
+            return None
+        return self.organization(ctx)
+
+    def access_energies_pj(self, ctx: ModelContext) -> tuple[float, float]:
+        """(read, write) energy of one block access."""
+        cfg = self.config
+        org = self._array_organization(ctx)
+        energies = access_energies_pj(ctx.tech, cfg, cfg.capacity_bytes, org)
+        return float(energies[0]), float(energies[1])
+
     def read_energy_pj(self, ctx: ModelContext) -> float:
         """Energy of one block read."""
-        if self.config.cell is MemCellKind.DFF:
-            return self._dff_bank().energy_per_active_cycle_pj(ctx.tech) * 0.5
-        model = ARRAY_MODELS[self.config.cell]
-        return float(model.read_energy_pj(ctx.tech, self.organization(ctx)))
+        return self.access_energies_pj(ctx)[0]
 
     def write_energy_pj(self, ctx: ModelContext) -> float:
         """Energy of one block write."""
-        if self.config.cell is MemCellKind.DFF:
-            return self._dff_bank().energy_per_active_cycle_pj(ctx.tech)
-        model = ARRAY_MODELS[self.config.cell]
-        return float(model.write_energy_pj(ctx.tech, self.organization(ctx)))
+        return self.access_energies_pj(ctx)[1]
 
     def access_latency_ns(self, ctx: ModelContext) -> float:
         """Random-access read latency."""
@@ -278,29 +370,12 @@ class OnChipMemory:
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
         """Full Mem estimate, sized at the TDP access rate."""
-        tech = ctx.tech
         cfg = self.config
-        if cfg.cell is MemCellKind.DFF:
-            bank = self._dff_bank()
-            return Estimate(
-                name="on-chip memory",
-                area_mm2=bank.area_mm2(tech) * 1.15,
-                dynamic_w=dynamic_power_w(
-                    bank.energy_per_active_cycle_pj(tech)
-                    * calibration.CLOCK_NETWORK_OVERHEAD,
-                    ctx.freq_ghz,
-                )
-                * calibration.TDP_ACTIVITY["memory"],
-                leakage_w=bank.leakage_w(tech),
-            )
-        return array_memory_terms(
+        return memory_terms(
             ctx,
-            self.organization(ctx),
-            cfg.cell,
-            self.read_energy_pj(ctx),
-            self.write_energy_pj(ctx),
-            cfg.read_bandwidth_gbps,
-            cfg.write_bandwidth_gbps,
-            cfg.latency_cycles,
-            cfg.scratchpad,
+            cfg,
+            cfg.capacity_bytes,
+            self._array_organization(ctx),
+            self.access_energies_pj(ctx),
+            (cfg.read_bandwidth_gbps, cfg.write_bandwidth_gbps),
         ).estimate()

@@ -891,27 +891,22 @@ class _SweepRun:
     # -- vectorized execution -------------------------------------------------
 
     def run_vector(self, tasks: deque[_Task], mode: str) -> deque[_Task]:
-        """Evaluate supported points through the batch kernels.
+        """Evaluate points through the batch kernels.
 
-        Returns the tasks the vector path could not finish — unsupported
-        configurations, failed builds, and SRAM-search-infeasible points
-        — for the scalar path, so ``auto`` sweeps produce exactly the
-        records a scalar sweep would (including authentic per-point
+        Returns the tasks the vector path could not finish — failed
+        builds, points the model rejects, and SRAM-search-infeasible
+        points — for the scalar path, so ``auto`` sweeps produce exactly
+        the records a scalar sweep would (including authentic per-point
         failures).  Every handed-back task carries its fallback reason,
         which lands in the final record and journal row.  With ``mode ==
-        "vector"``, an unsupported configuration is a
-        :class:`~repro.errors.ConfigurationError` and a screen failure is
-        recorded (or raised, under ``strict``) instead of falling back;
-        build failures and infeasible points still take the scalar path
-        in both modes, because only it raises the authentic model error.
+        "vector"``, a screen failure is recorded (or raised, under
+        ``strict``) instead of falling back; the other fallbacks take
+        the scalar path in both modes, because only it raises the
+        authentic model error.
         """
         from dataclasses import replace
 
-        from repro.batch.estimator import (
-            SCREEN_FAILED,
-            UNSUPPORTED_CONFIG,
-            BatchEstimator,
-        )
+        from repro.batch.estimator import SCREEN_FAILED, BatchEstimator
 
         ordered = list(tasks)
         estimator = BatchEstimator(self.ctx)
@@ -932,15 +927,7 @@ class _SweepRun:
                     validate_result(summary)
                 self._success(task, summary, share)
                 continue
-            reason = batch.fallback_reasons.get(offset, UNSUPPORTED_CONFIG)
-            if mode == "vector" and reason == UNSUPPORTED_CONFIG:
-                raise ConfigurationError(
-                    f"{task.point.label()} builds a configuration whose "
-                    "shape the vector backend does not model (it models "
-                    "the datacenter and training presets' shapes); use "
-                    "backend='auto' to fall back to the scalar path for "
-                    "such points"
-                )
+            reason = batch.fallback_reasons[offset]
             if mode == "vector" and reason == SCREEN_FAILED:
                 error = NumericalError(
                     f"batch[{offset}]",

@@ -4,8 +4,7 @@ The vectorized kernels call the scalar models' circuit closed forms and
 transcribe how ``repro.arch`` assembles them, so the two paths must agree
 to float round-off (the acceptance bar is 1e-9 relative) on the *entire*
 Table I grid — not a sample — and exactly off the default context.
-Unsupported configurations (chips whose shape no kernel models) must be
-detected and routed through the scalar path, and build failures must
+Chips of any shape take the vector path, and build failures must
 surface the original error instead of masquerading as configuration
 mismatches.
 """
@@ -18,10 +17,10 @@ import pytest
 
 from repro.arch.component import Estimate, ModelContext
 from repro.batch import BatchEstimator
+from repro.arch.chip import axes_of, shape_of
 from repro.batch.estimator import (
     BUILD_FAILED,
     SRAM_INFEASIBLE,
-    UNSUPPORTED_CONFIG,
     classify_point,
 )
 from repro.config.presets import (
@@ -33,6 +32,7 @@ from repro.dse.engine import run_sweep
 from repro.dse.space import TU_LENGTHS, TUS_PER_CORE, DesignPoint, _grids
 from repro.dse.sweep import evaluate_point
 from repro.errors import ConfigurationError, OptimizationError
+from repro.workloads import mobilenet_v2
 from repro.tech.node import node
 
 #: Acceptance tolerance for scalar/vector agreement.
@@ -70,7 +70,7 @@ class TrainingPoint(DesignPoint):
 
 
 class ForeignPoint(DesignPoint):
-    """A point building a chip whose shape no kernel models."""
+    """A point building a chip of a shape no preset has (TPU-v1's)."""
 
     def build(self):
         return tpu_v1()
@@ -161,8 +161,14 @@ def test_preset_families_are_vector_supported():
     assert training_values.lanes == 32
 
 
-def test_foreign_config_is_not_vector_supported():
-    assert classify_point(ForeignPoint(16, 1, 2, 2)) == (None, None, None)
+def test_foreign_point_classifies_to_its_own_shape():
+    config = tpu_v1().config
+    shape, values, error = classify_point(ForeignPoint(16, 1, 2, 2))
+    assert error is None
+    assert shape == shape_of(config)
+    assert values == axes_of(config)
+    base, _, _ = classify_point(DesignPoint(16, 1, 2, 2))
+    assert shape != base
 
 
 def test_build_failure_surfaces_the_original_error():
@@ -188,18 +194,19 @@ def test_auto_backend_falls_back_to_scalar_identically():
             ), (fast.point, name)
 
 
-def test_vector_backend_rejects_unsupported_configuration():
+def test_vector_backend_evaluates_tpu_v1_as_scalar_does():
     ctx = datacenter_context()
-    with pytest.raises(ConfigurationError, match="vector backend"):
-        run_sweep(
-            [ForeignPoint(16, 1, 2, 2)], ctx=ctx, backend="vector"
-        )
+    workloads = [("MobileNet", mobilenet_v2())]
+    points = [ForeignPoint(16, 1, 2, 2)]
+    fast = run_sweep(points, workloads, [1], ctx, backend="vector")
+    slow = run_sweep(points, workloads, [1], ctx, backend="scalar")
+    assert [r.status for r in fast.records] == ["ok"]
+    assert fast.fallback_totals() == {}
+    assert fast.records[0].metrics == slow.records[0].metrics
 
 
 def test_vector_backend_simulates_workloads():
     """Workload eval runs through the batched perf layer, not scalar."""
-    from repro.workloads import mobilenet_v2
-
     ctx = datacenter_context()
     workloads = [("MobileNet", mobilenet_v2())]
     fast = run_sweep(
@@ -228,21 +235,15 @@ def test_batch_result_reports_fallback_reasons():
         DesignPoint(8, 1, 1, 1),
     ]
     batch = BatchEstimator(ctx).estimate_points(points)
-    assert batch.fallback_reasons == {
-        0: UNSUPPORTED_CONFIG,
-        1: BUILD_FAILED,
-    }
-    assert batch.fallback_indices == (0, 1)
+    assert batch.fallback_reasons == {1: BUILD_FAILED}
+    assert batch.fallback_indices == (1,)
     assert isinstance(batch.errors[1], RuntimeError)
     assert 0 not in batch.errors
-    assert batch.summaries[0] is None
+    assert batch.summaries[0] is not None
     assert batch.summaries[1] is None
     assert batch.summaries[2] is not None
-    assert batch.vectorized_count == 1
-    assert batch.fallback_totals() == {
-        UNSUPPORTED_CONFIG: 1,
-        BUILD_FAILED: 1,
-    }
+    assert batch.vectorized_count == 2
+    assert batch.fallback_totals() == {BUILD_FAILED: 1}
 
 
 def test_vector_summaries_are_plain_floats():

@@ -15,6 +15,7 @@ import pytest
 
 import repro.batch.perf as batch_perf
 import repro.cache.keys as cache_keys
+from repro.arch.chip import ChipConfig
 from repro.batch import BatchEstimator
 from repro.cache import estimate_cache_disabled
 from repro.config.presets import datacenter_context
@@ -132,11 +133,14 @@ def test_second_vector_estimate_canonicalizes_no_layer(monkeypatch):
         [DesignPoint(64, 2, 2, 4)], workloads=workloads, batches=FIG10_BATCHES
     )
     layers = []
+    configs = []
     canonicalize = cache_keys.canonicalize
 
     def counted(obj, _depth=0):
         if isinstance(obj, LayerSpec):
             layers.append(obj)
+        if isinstance(obj, ChipConfig):
+            configs.append(obj)
         return canonicalize(obj, _depth)
 
     monkeypatch.setattr(cache_keys, "canonicalize", counted)
@@ -147,3 +151,5 @@ def test_second_vector_estimate_canonicalizes_no_layer(monkeypatch):
     )
     assert result.fallback_reasons == {}
     assert len(layers) == 0
+    # The (context, shape) digest is the substrate's, computed once.
+    assert len(configs) == 0

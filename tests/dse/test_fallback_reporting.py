@@ -11,18 +11,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.batch.estimator import BUILD_FAILED, UNSUPPORTED_CONFIG
-from repro.config.presets import datacenter_context, tpu_v1
+from dataclasses import replace
+
+from repro.arch.chip import Chip
+from repro.batch.estimator import BUILD_FAILED, SRAM_INFEASIBLE
+from repro.config.presets import (
+    datacenter_context,
+    datacenter_design_point,
+    tpu_v1,
+)
 from repro.dse.engine import run_sweep
 from repro.dse.journal import load_journal
 from repro.dse.space import DesignPoint
 
 
 class ForeignPoint(DesignPoint):
-    """Builds a chip no vector kernel family transcribes."""
+    """Builds a chip of a shape no preset has; it vectorizes all the same."""
 
     def build(self):
         return tpu_v1()
+
+
+class InfeasiblePoint(DesignPoint):
+    """Builds a chip whose Mem no SRAM organization can feed."""
+
+    def build(self):
+        chip = datacenter_design_point(self.x, self.n, self.tx, self.ty)
+        core = chip.config.core
+        mem = replace(core.mem, read_bandwidth_gbps=1e9)
+        return Chip(replace(chip.config, core=replace(core, mem=mem)))
 
 
 class BrokenPoint(DesignPoint):
@@ -47,8 +64,8 @@ def test_auto_backend_tags_fallback_reasons_on_records():
     assert vectorized.fallback is None
 
     foreign = by_coords[(8, 1)]
-    assert foreign.status == "ok"  # scalar path handles it fine
-    assert foreign.fallback == UNSUPPORTED_CONFIG
+    assert foreign.status == "ok"
+    assert foreign.fallback is None  # every shape vectorizes
 
     broken = by_coords[(4, 1)]
     assert broken.status == "failed"  # scalar re-raises the real error
@@ -56,10 +73,7 @@ def test_auto_backend_tags_fallback_reasons_on_records():
     assert broken.failure is not None
     assert "intentional build failure" in broken.failure.message
 
-    assert report.fallback_totals() == {
-        UNSUPPORTED_CONFIG: 1,
-        BUILD_FAILED: 1,
-    }
+    assert report.fallback_totals() == {BUILD_FAILED: 1}
 
 
 def test_scalar_backend_reports_no_fallbacks():
@@ -74,13 +88,13 @@ def test_scalar_backend_reports_no_fallbacks():
 def test_fallback_reason_round_trips_through_the_journal(tmp_path):
     ctx = datacenter_context()
     journal = tmp_path / "sweep.jsonl"
-    points = [DesignPoint(16, 1, 2, 2), ForeignPoint(8, 1, 1, 1)]
+    points = [DesignPoint(16, 1, 2, 2), InfeasiblePoint(8, 1, 1, 1)]
     run_sweep(points, ctx=ctx, backend="auto", journal_path=journal)
 
     entries = load_journal(journal)
     by_coords = {(e.point.x, e.point.n): e for e in entries}
     assert by_coords[(16, 1)].fallback is None
-    assert by_coords[(8, 1)].fallback == UNSUPPORTED_CONFIG
+    assert by_coords[(8, 1)].fallback == SRAM_INFEASIBLE
 
     # Resume rehydrates the tag onto the records of the resumed sweep.
     # (The subclass point cannot match its journal row — rehydrated
@@ -93,8 +107,8 @@ def test_fallback_reason_round_trips_through_the_journal(tmp_path):
         (r.point.x, r.point.n): r for r in resumed.records
     }
     assert resumed_by_coords[(16, 1)].from_journal
-    assert resumed_by_coords[(8, 1)].fallback == UNSUPPORTED_CONFIG
-    assert resumed.fallback_totals() == {UNSUPPORTED_CONFIG: 1}
+    assert resumed_by_coords[(8, 1)].fallback == SRAM_INFEASIBLE
+    assert resumed.fallback_totals() == {SRAM_INFEASIBLE: 1}
 
 
 def test_workload_metrics_include_latency(tmp_path):

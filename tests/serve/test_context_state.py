@@ -9,7 +9,9 @@ substrate cache evicts its least recently used entry past a fixed size.
 
 from __future__ import annotations
 
+from repro.arch.chip import shape_of
 from repro.batch import substrate as substrate_mod
+from repro.config.presets import datacenter_design_point
 from repro.serve.app import ServeApp, ServeConfig
 
 CLOCKS = 500
@@ -27,7 +29,7 @@ def test_distinct_clocks_leave_no_per_context_state():
     app = ServeApp(ServeConfig(port=0, jobs=1))
     try:
         before = _collection_sizes(app)
-        shape = next(iter(substrate_mod.MODELED_SHAPES))
+        shape = shape_of(datacenter_design_point(16, 1, 2, 2).config)
         for step in range(CLOCKS):
             ctx = app._context({"freq": 0.5 + step * 1e-3})
             assert ctx == app._context({"freq": 0.5 + step * 1e-3})
