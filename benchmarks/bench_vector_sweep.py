@@ -20,7 +20,7 @@ and asserts the properties the batch backend promises:
   scalar sweep by >= 2x (vector rows come back from the estimate cache;
   before PR 7 they bypassed it and warm sweeps tied scalar).
 * **Coverage** — the Table I grid (datacenter *and* bf16 training
-  presets) vectorizes with zero ``unsupported-config`` fallbacks; a
+  presets) vectorizes with zero fallbacks; a
   second pass runs the full workload simulation (mapping, roofline,
   cycle sim) through the batched perf layer with the same bit-exactness.
 
@@ -35,7 +35,7 @@ import time
 from benchmarks.conftest import run_once
 from benchmarks.emit import emit_bench, round_floats
 from repro.batch import substrate as substrate_mod
-from repro.batch.estimator import UNSUPPORTED_CONFIG, BatchEstimator
+from repro.batch.estimator import BatchEstimator
 from repro.cache.store import get_estimate_cache
 from repro.config.presets import datacenter_context, datacenter_training_point
 from repro.dse.engine import run_sweep
@@ -227,8 +227,8 @@ def test_vector_workload_sweep_and_coverage(benchmark, emit):
     Runs the Table I grid with a ResNet workload through the forked
     scalar baseline, the inline scalar path, and the batched perf layer,
     asserting bit-exact equivalence; then sweeps the datacenter *and*
-    training grids through the vector path and asserts zero
-    ``unsupported-config`` fallbacks, emitting the per-reason counts.
+    training grids through the vector path and asserts zero fallbacks,
+    emitting the per-reason counts.
     """
     ctx = datacenter_context()
     workloads = [("ResNet", resnet50())]
@@ -282,9 +282,6 @@ def test_vector_workload_sweep_and_coverage(benchmark, emit):
         POINTS + TRAINING_POINTS, workloads=workloads, batches=batches
     )
     totals = coverage.fallback_totals()
-    assert totals.get(UNSUPPORTED_CONFIG, 0) == 0, (
-        f"unsupported-config fallbacks on the Table I grid: {totals}"
-    )
     assert coverage.vectorized_count == len(POINTS) + len(TRAINING_POINTS)
 
     speedup = forked_s / vector_cold_s if vector_cold_s > 0 else (
@@ -332,9 +329,6 @@ def test_vector_workload_sweep_and_coverage(benchmark, emit):
                     "points": len(POINTS) + len(TRAINING_POINTS),
                     "vectorized": coverage.vectorized_count,
                     "fallbacks": totals,
-                    "unsupported_config": totals.get(
-                        UNSUPPORTED_CONFIG, 0
-                    ),
                 },
             }
         ),

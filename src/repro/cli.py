@@ -92,8 +92,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="estimation backend: 'vector' evaluates the sweep through "
         "the NumPy batch kernels, 'scalar' walks the object model per "
-        "point, 'auto' (default) vectorizes supported shapes and falls "
-        "back to scalar per point otherwise",
+        "point, 'auto' (default) vectorizes every shape and falls back "
+        "to scalar per point where the model rejects a point",
     )
     parser.add_argument(
         "--jobs",

@@ -1,9 +1,8 @@
 """Training-preset (bf16) scalar/vector equivalence on the full grid.
 
-PR 7 taught the vector backend the training family's bf16/fp16 MAC and
-adder curves, so a training-preset sweep must vectorize with *zero*
-``unsupported-config`` fallbacks and reproduce the scalar path bit for
-bit on the entire Table I grid.
+The vector backend runs the training family's bf16/fp16 MAC and adder
+curves, so a training-preset sweep must vectorize with *zero* fallbacks
+and reproduce the scalar path bit for bit on the entire Table I grid.
 """
 
 from __future__ import annotations
