@@ -360,7 +360,7 @@ def _wordline_energy_pj(tech: TechNode, org):
     return fj_to_pj(cap_ff * tech.vdd_v**2)
 
 
-def _access_terms_pj(tech: TechNode, org, bits):
+def _access_terms_pj(tech: TechNode, org, bits, bank_mm2):
     """(word lines, decode, H-tree) energy: paid by reads and writes alike.
 
     The H-tree moves a block between the bank edge and the subarray; the
@@ -370,7 +370,7 @@ def _access_terms_pj(tech: TechNode, org, bits):
     activated = _activated_subarrays(org)
     decode = activated * logic_energy_pj(tech, _control_gates(org))
     htree = wire_params(tech, WireType.INTERMEDIATE)
-    length_mm = 0.9 * np.sqrt(_bank_area_mm2(tech, org))
+    length_mm = 0.9 * np.sqrt(bank_mm2)
     return (
         activated * _wordline_energy_pj(tech, org),
         decode,
@@ -380,6 +380,10 @@ def _access_terms_pj(tech: TechNode, org, bits):
 
 def sram_read_energy_pj(tech: TechNode, org):
     """Dynamic energy of one block read from one bank."""
+    return _read_energy_pj(tech, org, _bank_area_mm2(tech, org))
+
+
+def _read_energy_pj(tech: TechNode, org, bank_mm2):
     bits = org.block_bytes * 8
     bitline = fj_to_pj(
         bits
@@ -393,7 +397,7 @@ def sram_read_energy_pj(tech: TechNode, org):
         * tech.gate_energy_fj
         / SENSE_ANCHOR_GATE_ENERGY_FJ
     )
-    wordlines, decode, htree = _access_terms_pj(tech, org, bits)
+    wordlines, decode, htree = _access_terms_pj(tech, org, bits, bank_mm2)
     return (
         bitline + sense + wordlines + decode + htree
     ) * calibration.SRAM_ACCESS_OVERHEAD
@@ -403,7 +407,8 @@ def sram_write_energy_pj(tech: TechNode, org):
     """Dynamic energy of one block write (full bitline swing)."""
     bits = org.block_bytes * 8
     bitline = fj_to_pj(bits * _bitline_cap_ff(tech, org) * tech.vdd_v**2)
-    wordlines, decode, htree = _access_terms_pj(tech, org, bits)
+    bank_mm2 = _bank_area_mm2(tech, org)
+    wordlines, decode, htree = _access_terms_pj(tech, org, bits, bank_mm2)
     return (
         bitline + wordlines + decode + htree
     ) * calibration.SRAM_ACCESS_OVERHEAD
@@ -426,6 +431,10 @@ def sram_leakage_w(tech: TechNode, org):
 
 def sram_access_latency_ns(tech: TechNode, org):
     """Random-access read latency: decode + word line + bit line + output."""
+    return _access_latency_ns(tech, org, _bank_area_mm2(tech, org))
+
+
+def _access_latency_ns(tech: TechNode, org, bank_mm2):
     rows, cols = org.subarray_rows, _subarray_cols(org)
     decode_ns = ps_to_ns((2 + address_bits(rows)) * tech.fo4_ps)
 
@@ -448,9 +457,7 @@ def sram_access_latency_ns(tech: TechNode, org):
 
     sense_ns = ps_to_ns(2.0 * tech.fo4_ps)
     htree = wire_params(tech, WireType.INTERMEDIATE)
-    output_ns = repeated_wire_delay_ns(
-        tech, htree, 0.5 * np.sqrt(_bank_area_mm2(tech, org))
-    )
+    output_ns = repeated_wire_delay_ns(tech, htree, 0.5 * np.sqrt(bank_mm2))
     return decode_ns + wordline_ns + bitline_ns + sense_ns + output_ns
 
 
@@ -534,15 +541,20 @@ def _search_block(
 ):
     """`search_lattice` for a (rows x 1) block against all candidates."""
     org = Organization(capacity, block, *_LATTICE)
+    # One area per candidate; the latency and read energy take its banks'.
+    area = sram_area_mm2(tech, org)
+    bank_area = area / org.banks
     feasible = (
         (capacity >= org.banks * block)
-        & (sram_access_latency_ns(tech, org) <= latency_bound)
+        & (_access_latency_ns(tech, org, bank_area) <= latency_bound)
         & (sram_read_bandwidth_gbps(org, freq_ghz) >= read_target)
         & (sram_write_bandwidth_gbps(org, freq_ghz) >= write_target)
     )
-    area = np.where(feasible, sram_area_mm2(tech, org), np.inf)
+    area = np.where(feasible, area, np.inf)
     smallest = feasible & (area == area.min(axis=1, keepdims=True))
-    read_energy = np.where(smallest, sram_read_energy_pj(tech, org), np.inf)
+    read_energy = np.where(
+        smallest, _read_energy_pj(tech, org, bank_area), np.inf
+    )
     return np.where(feasible.any(axis=1), read_energy.argmin(axis=1), -1)
 
 
