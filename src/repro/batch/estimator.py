@@ -3,10 +3,12 @@
 The scalar path builds a :class:`~repro.arch.chip.Chip` object tree per
 design point and walks it; for a Table I sweep that repeats the same
 closed-form arithmetic a few hundred times with different ``(X, N, Tx,
-Ty)``.  :class:`BatchEstimator` builds each point once and splits its
-configuration into a shape and per-point values
-(:func:`~repro.arch.chip.split_config`), groups the points by shape,
-hoists everything point-independent into a
+Ty)``.  :class:`BatchEstimator` splits each point's configuration into a
+shape and per-point values (:func:`classify_point`): a datacenter preset
+point takes the preset's one shape and the values of its rule,
+:func:`~repro.config.presets.datacenter_axes`, without a build; any other
+point is built once and split (:func:`~repro.arch.chip.split_config`).
+It groups the points by shape, hoists everything point-independent into a
 :class:`~repro.batch.substrate.TechSubstrate` per ``(context, shape)``,
 and evaluates each group through the NumPy kernels in
 :mod:`repro.batch.kernels` and the batched performance layer in
@@ -40,7 +42,11 @@ from repro.arch.core import GridAxes
 from repro.arch.memory import oversized_dff
 from repro.batch.substrate import substrate_for
 from repro.cache import get_estimate_cache, stable_hash
-from repro.config.presets import datacenter_context
+from repro.config.presets import (
+    datacenter_axes,
+    datacenter_context,
+    datacenter_shape,
+)
 from repro.dse.journal import SummaryOutcome, SummaryResult
 from repro.dse.space import DesignPoint
 from repro.errors import NeuroMeterError
@@ -77,13 +83,19 @@ def classify_point(
 ) -> Tuple[
     Optional[ChipConfig], Optional[GridAxes], Optional[BaseException]
 ]:
-    """Split a point's built configuration into shape and per-point values.
+    """Split a point's configuration into shape and per-point values.
 
-    Builds the point once.  Returns ``(shape, values, None)``, or
-    ``(None, None, error)`` when ``build()`` itself raises — the error is
-    returned, not swallowed, so the caller can report
-    :data:`BUILD_FAILED` with the authentic cause.
+    A point that builds the datacenter preset (its ``build`` is
+    :meth:`DesignPoint.build`) takes the preset's shape and its values
+    from the preset's rule, :func:`datacenter_axes`, without a build.
+    Any other point is built once and its configuration split.  Returns
+    ``(shape, values, None)``, or ``(None, None, error)`` when
+    ``build()`` itself raises — the error is returned, not swallowed, so
+    the caller can report :data:`BUILD_FAILED` with the authentic cause.
     """
+    if getattr(type(point), "build", None) is DesignPoint.build:
+        values = datacenter_axes(point.x, point.n, point.tx, point.ty)
+        return datacenter_shape(), values, None
     try:
         config = point.build().config
     except Exception as error:
@@ -160,8 +172,9 @@ class BatchEstimator:
         resolved = tuple(points)
         reasons: Dict[int, str] = {}
         errors: Dict[int, BaseException] = {}
-        # Points of one sweep usually share a shape: compare with the
-        # previous point's before hashing the shape.
+        # Points of one sweep usually share a shape (preset points the
+        # very object): compare with the previous point's before hashing
+        # the shape.
         groups: Dict[ChipConfig, List[Tuple[int, GridAxes]]] = {}
         shape: Optional[ChipConfig] = None
         members: List[Tuple[int, GridAxes]] = []
@@ -171,7 +184,7 @@ class BatchEstimator:
                 reasons[index] = BUILD_FAILED
                 errors[index] = error
                 continue
-            if found != shape:
+            if found is not shape and found != shape:
                 shape = found
                 members = groups.setdefault(shape, [])
             members.append((index, values))

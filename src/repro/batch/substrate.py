@@ -1,10 +1,12 @@
 """Point-independent model state hoisted out of the vectorized hot loop.
 
 A chip configuration splits into its *shape* and its per-point values
-(:func:`~repro.arch.chip.split_config`).  The preset factories
+(:func:`~repro.arch.chip.split_config`).  The presets
 (:mod:`repro.config.presets`) own how those values scale with ``(X, N,
-T_x, T_y)`` (Sec. III-A, Fig. 6); the batch layer reads them from each
-built configuration.  Everything else is fixed for a ``(ModelContext,
+T_x, T_y)`` (Sec. III-A, Fig. 6): the batch layer takes a datacenter
+point's values from the preset's rule,
+:func:`~repro.config.presets.datacenter_axes`, and any other point's from
+its built configuration.  Everything else is fixed for a ``(ModelContext,
 shape)`` pair, whose :class:`TechSubstrate` keeps a chip of the shape's
 own components (their parts that take no per-point value are made once,
 on first use) and the pair's cache-key digest.

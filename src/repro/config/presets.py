@@ -7,9 +7,11 @@ design points of Table I with all dependent parameters auto-scaled.
 
 from __future__ import annotations
 
-from repro.arch.chip import Chip, ChipConfig
+import functools
+
+from repro.arch.chip import Chip, ChipConfig, shape_of
 from repro.arch.component import ModelContext
-from repro.arch.core import CoreConfig
+from repro.arch.core import CoreConfig, GridAxes
 from repro.arch.memory import OnChipMemoryConfig
 from repro.arch.periph import DramKind, InterChipInterconnect, PcieInterface
 from repro.arch.tensor_unit import (
@@ -212,6 +214,39 @@ def eyeriss_context() -> ModelContext:
 # -- Table I datacenter design points ------------------------------------------
 
 
+def datacenter_axes(
+    tu_length: int,
+    tus_per_core: int,
+    cores_x: int,
+    cores_y: int,
+    mem_capacity_bytes: int = DATACENTER_MEM_CAPACITY_BYTES,
+) -> GridAxes:
+    """The per-point values of the ``(X, N, Tx, Ty)`` datacenter chip.
+
+    Table I's dependent-parameter rule, written once: X x X TUs with X VU
+    lanes, N TUs per core, and the memory pool split evenly across the
+    ``Tx`` x ``Ty`` cores (at least 64 KiB per core) in blocks of
+    ``max(X, 32)`` bytes.  Python numbers in, the same Python numbers
+    out, so the values equal :func:`~repro.arch.chip.axes_of` of the
+    built configuration in value and in type.
+    """
+    if tu_length < 1:
+        raise ConfigurationError("TU length must be positive")
+    cores = cores_x * cores_y
+    if cores < 1:
+        raise ConfigurationError("need at least one core")
+    return GridAxes(
+        tu_length,
+        tu_length,
+        tus_per_core,
+        tu_length,
+        max(mem_capacity_bytes // cores, DATACENTER_MEM_SLICE_FLOOR_BYTES),
+        max(tu_length, 32),
+        cores_x,
+        cores_y,
+    )
+
+
 def datacenter_design_point(
     tu_length: int,
     tus_per_core: int,
@@ -221,42 +256,37 @@ def datacenter_design_point(
 ) -> Chip:
     """Build the ``(X, N, Tx, Ty)`` datacenter inference chip of Table I.
 
-    The 32 MB on-chip memory is distributed evenly across cores, the NoC is
-    a ring up to 4 cores and a 2D mesh from 8 (resolved by ``ChipConfig``),
-    and every dependent parameter (VU lanes, VReg ports, Mem bandwidth)
-    auto-scales from ``X`` and ``N``.
+    The TU, Mem slice and core grid come from :func:`datacenter_axes`;
+    the NoC is a ring up to 4 cores and a 2D mesh from 8 (resolved by
+    ``ChipConfig``), and the VU lanes, VReg ports and Mem bandwidth
+    auto-scale from ``X`` and ``N``.
     """
-    if tu_length < 1:
-        raise ConfigurationError("TU length must be positive")
-    cores = cores_x * cores_y
-    if cores < 1:
-        raise ConfigurationError("need at least one core")
+    values = datacenter_axes(
+        tu_length, tus_per_core, cores_x, cores_y, mem_capacity_bytes
+    )
     tu = TensorUnitConfig(
-        rows=tu_length,
-        cols=tu_length,
+        rows=values.tu_rows,
+        cols=values.tu_cols,
         cell=SystolicCellConfig(input_dtype=INT8),
         interconnect=InterconnectKind.UNICAST,
         dataflow=Dataflow.WEIGHT_STATIONARY,
     )
-    slice_bytes = max(
-        mem_capacity_bytes // cores, DATACENTER_MEM_SLICE_FLOOR_BYTES
-    )
     mem = OnChipMemoryConfig(
-        capacity_bytes=slice_bytes,
-        block_bytes=max(tu_length, 32),
+        capacity_bytes=values.mem_capacity_bytes,
+        block_bytes=values.mem_block_bytes,
         latency_cycles=4,
     )
     core = CoreConfig(
         tu=tu,
-        tensor_units=tus_per_core,
+        tensor_units=values.tensor_units,
         mem=mem,
         include_scalar_unit=True,
     )
     return Chip(
         ChipConfig(
             core=core,
-            cores_x=cores_x,
-            cores_y=cores_y,
+            cores_x=values.cores_x,
+            cores_y=values.cores_y,
             noc_bisection_gbps=DATACENTER_NOC_BISECTION_GBPS,
             dram=DramKind.HBM2,
             offchip_bandwidth_gbps=DATACENTER_OFFCHIP_GBPS,
@@ -264,6 +294,14 @@ def datacenter_design_point(
             ici=None,
         )
     )
+
+
+@functools.cache
+def datacenter_shape() -> ChipConfig:
+    """The shape every datacenter design point shares, from one build
+    (:func:`~repro.arch.chip.shape_of`); with :func:`datacenter_axes` it
+    is ``split_config`` of any point's configuration."""
+    return shape_of(datacenter_design_point(1, 1, 1, 1).config)
 
 
 def datacenter_context() -> ModelContext:

@@ -106,9 +106,10 @@ class SpaceAxes:
     needs the axes as first-class objects: the admissible TU lengths,
     TUs per core, and ``(T_x, T_y)`` core-grid pairs.  ``table1()``
     reproduces the 210-point paper grid; ``expanded()`` widens every
-    axis into a >1M-point space that is far beyond exhaustive sweeping
-    but still builds through the exact datacenter model, so any proposed
-    point can be verified by the vectorized backend.
+    axis into a >1M-point space.  Its points take the datacenter
+    preset's rule (:func:`~repro.config.presets.datacenter_axes`) on the
+    vectorized backend, so any proposed point is verified by the exact
+    model, and a peak-only pass over every point takes tens of seconds.
 
     Axis values are deduplicated and sorted at construction so the same
     recipe always digests and samples identically.
@@ -165,9 +166,9 @@ class SpaceAxes:
         """A widened space: every even TU length, 1-8 TUs, free grids.
 
         With the defaults this is 127 x 8 x 1024 = 1,040,384 points —
-        three orders of magnitude past Table I, yet each tuple still
-        instantiates through ``datacenter_design_point`` and therefore
-        evaluates on the exact vectorized backend.
+        three orders of magnitude past Table I, yet each tuple is still
+        a ``datacenter_design_point`` and therefore evaluates on the
+        exact vectorized backend.
         """
         return cls(
             x_values=tuple(range(4, max_x + 1, x_step)),

@@ -117,24 +117,28 @@ def validate_result(result: "DesignPointResult") -> "DesignPointResult":
     check_positive("tdp_w", result.tdp_w)
     check_positive("peak_tops", result.peak_tops)
     for i, outcome in enumerate(result.outcomes):
-        path = f"outcomes[{i}]"
-        check_nonnegative(f"{path}.achieved_tops", outcome.achieved_tops)
-        check_fraction(f"{path}.utilization", outcome.utilization)
-        check_positive(f"{path}.runtime_power_w", outcome.runtime_power_w)
-        if outcome.batch < 1:
-            raise NumericalError(
-                f"{path}.batch", outcome.batch, "must be >= 1"
+        # Checked by bare field name; the indexed path is formatted only
+        # for the error.
+        try:
+            check_nonnegative("achieved_tops", outcome.achieved_tops)
+            check_fraction("utilization", outcome.utilization)
+            check_positive("runtime_power_w", outcome.runtime_power_w)
+            if outcome.batch < 1:
+                raise NumericalError("batch", outcome.batch, "must be >= 1")
+            # Fresh outcomes carry a SimulationResult; journal/vector rows
+            # carry latency_ms directly (possibly None on pre-upgrade rows).
+            sim = getattr(outcome, "result", None)
+            latency_ms = (
+                sim.latency_ms
+                if sim is not None
+                else getattr(outcome, "latency_ms", None)
             )
-        # Fresh outcomes carry a SimulationResult; journal/vector rows
-        # carry latency_ms directly (possibly None on pre-upgrade rows).
-        sim = getattr(outcome, "result", None)
-        latency_ms = (
-            sim.latency_ms
-            if sim is not None
-            else getattr(outcome, "latency_ms", None)
-        )
-        if latency_ms is not None:
-            check_nonnegative(f"{path}.latency_ms", latency_ms)
+            if latency_ms is not None:
+                check_nonnegative("latency_ms", latency_ms)
+        except NumericalError as error:
+            raise NumericalError(
+                f"outcomes[{i}].{error.field}", error.value, error.reason
+            ) from None
     return result
 
 

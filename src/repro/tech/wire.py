@@ -18,6 +18,7 @@ same functions as the scalar models; a scalar length returns a plain
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,7 +87,19 @@ def wire_params(tech: TechNode, wire_type: WireType) -> WireParams:
     Resistance is log-log interpolated between tabulated nodes the same way
     :func:`repro.tech.node.node` interpolates device parameters.
     """
-    resistances = _resistance_at(tech.feature_nm)
+    return _wire_params(tech.feature_nm, wire_type)
+
+
+#: ``(feature_nm, wire_type)`` pairs memoized, least recently used
+#: dropped first; a daemon sees a new node with every cold context.  The
+#: memo is typed, so each caller gets the number types its own
+#: ``feature_nm`` gives.
+MAX_WIRE_PARAMS = 64
+
+
+@functools.lru_cache(maxsize=MAX_WIRE_PARAMS, typed=True)
+def _wire_params(feature_nm: float, wire_type: WireType) -> WireParams:
+    resistances = _resistance_at(feature_nm)
     index = {
         WireType.LOCAL: 0,
         WireType.INTERMEDIATE: 1,
@@ -96,7 +109,7 @@ def wire_params(tech: TechNode, wire_type: WireType) -> WireParams:
         wire_type=wire_type,
         r_ohm_per_mm=resistances[index],
         c_ff_per_mm=_CAPACITANCE_FF_PER_MM[wire_type],
-        pitch_um=nm_to_um(_PITCH_FACTOR[wire_type] * tech.feature_nm),
+        pitch_um=nm_to_um(_PITCH_FACTOR[wire_type] * feature_nm),
     )
 
 

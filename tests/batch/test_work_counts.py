@@ -6,7 +6,9 @@ simulates each workload once, over every batch regime stacked on a
 leading axis; the scalar latency-bound search runs each batch candidate
 once and reuses the winner's run.  Both backends walk a graph's
 flattened ``GraphSpec``, memoized on the graph, so evaluating a second
-design point never costs a layer again.
+design point never costs a layer again.  Nor does a second vector
+estimate of the Table I points build a chip: preset points take their
+per-point values from the preset's rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.arch.chip import ChipConfig
 from repro.batch import BatchEstimator
 from repro.cache import estimate_cache_disabled
 from repro.config.presets import datacenter_context
-from repro.dse.space import DesignPoint
+from repro.dse.space import DesignPoint, full_grid
 from repro.dse.sweep import evaluate_point
 from repro.perf.graph import LayerNode
 from repro.perf.simulator import BATCH_CANDIDATES, LayerSpec, Simulator
@@ -152,4 +154,22 @@ def test_second_vector_estimate_canonicalizes_no_layer(monkeypatch):
     assert result.fallback_reasons == {}
     assert len(layers) == 0
     # The (context, shape) digest is the substrate's, computed once.
+    assert len(configs) == 0
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_second_table1_estimate_builds_no_chip_config(monkeypatch, cached):
+    """Preset points take their values from the preset's rule; with the
+    estimate cache on the second call hits it, with it off the second
+    call runs the kernels, and neither builds a chip."""
+    points = full_grid()
+    estimator = BatchEstimator(datacenter_context())
+    estimator.estimate_points(points)
+    configs = _count_calls(monkeypatch, ChipConfig, "__init__")
+    if cached:
+        result = estimator.estimate_points(points)
+    else:
+        with estimate_cache_disabled():
+            result = estimator.estimate_points(points)
+    assert result.fallback_reasons == {}
     assert len(configs) == 0

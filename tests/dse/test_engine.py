@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.dse.engine import (
 from repro.dse.journal import (
     Journal,
     JournalEntry,
+    SummaryOutcome,
     SummaryResult,
     load_journal,
     summarize_result,
@@ -275,6 +277,46 @@ def test_validate_result_field_paths():
     # Clean results pass through unchanged.
     result = _fake_result(GOOD, with_outcomes=True)
     assert validate_result(result) is result
+
+
+@pytest.mark.parametrize(
+    "change, field, reason",
+    [
+        ({"achieved_tops": float("nan")}, "achieved_tops", "NaN"),
+        ({"utilization": 1.5}, "utilization", "must be within [0, 1]"),
+        ({"runtime_power_w": 0.0}, "runtime_power_w", "must be positive"),
+        ({"batch": 0}, "batch", "must be >= 1"),
+        ({"latency_ms": -1.0}, "latency_ms", "must be non-negative"),
+    ],
+)
+def test_validate_result_names_the_failing_outcome(change, field, reason):
+    clean = SummaryOutcome(
+        workload="fake",
+        batch=1,
+        regime="bs=1",
+        achieved_tops=10.0,
+        utilization=0.5,
+        runtime_power_w=80.0,
+        latency_ms=1.0,
+    )
+    bad = replace(clean, **change)
+    result = SummaryResult(
+        point=GOOD,
+        area_mm2=300.0,
+        tdp_w=100.0,
+        peak_tops=50.0,
+        outcomes=(clean, clean, bad, clean),
+    )
+    with pytest.raises(NumericalError) as caught:
+        validate_result(result)
+    value = change[field]
+    assert caught.value.field == f"outcomes[2].{field}"
+    assert caught.value.value is value
+    assert caught.value.reason == reason
+    assert str(caught.value) == (
+        f"invalid numerical result at outcomes[2].{field}: "
+        f"{value!r}: {reason}"
+    )
 
 
 def test_validation_can_be_disabled(monkeypatch):

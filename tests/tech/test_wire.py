@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError, TechnologyError
 from repro.tech.node import node
+from repro.tech import wire
 from repro.tech.wire import (
+    MAX_WIRE_PARAMS,
     WireType,
     repeated_wire_delay_ns,
     unrepeated_wire_delay_ns,
@@ -37,6 +39,16 @@ def test_resistance_interpolates_between_nodes():
     r16 = wire_params(node(16), WireType.GLOBAL).r_ohm_per_mm
     r28 = wire_params(node(28), WireType.GLOBAL).r_ohm_per_mm
     assert r28 < r20 < r16
+
+
+def test_wire_params_memoized_within_a_bound():
+    tech = node(22)
+    first = wire_params(tech, WireType.LOCAL)
+    assert wire_params(node(22), WireType.LOCAL) is first
+    assert first == wire._wire_params.__wrapped__(22, WireType.LOCAL)
+    for step in range(2 * MAX_WIRE_PARAMS):
+        wire_params(node(7 + step / 4), WireType.GLOBAL)
+    assert wire._wire_params.cache_info().currsize == MAX_WIRE_PARAMS
 
 
 def test_unrepeated_delay_quadratic_in_length(tech):
