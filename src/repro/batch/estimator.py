@@ -319,6 +319,24 @@ class BatchEstimator:
             for index in indices:
                 reasons[index] = MODEL_REJECTED
             return
+        # Each column leaves NumPy once per shape, not once per point.
+        area, tdp, peak = (
+            np.asarray(grid[name], dtype=float).tolist()
+            for name in ("area_mm2", "tdp_w", "peak_tops")
+        )
+        columns = [
+            (
+                oc.workload,
+                np.asarray(oc.batch, dtype=np.int64).tolist(),
+                oc.regimes(),
+                *(
+                    np.asarray(values, dtype=float).tolist()
+                    for values in (oc.achieved_tops, oc.utilization,
+                                   oc.runtime_power_w, oc.latency_ms)
+                ),
+            )
+            for oc in outcomes
+        ]
         for offset, index, ok, infeasible_free, refused in zip(
             itertools.count(), indices, clean, feasible, rejected
         ):
@@ -331,22 +349,21 @@ class BatchEstimator:
             else:
                 summary = SummaryResult(
                     point=resolved[index],
-                    area_mm2=float(grid["area_mm2"][offset]),
-                    tdp_w=float(grid["tdp_w"][offset]),
-                    peak_tops=float(grid["peak_tops"][offset]),
+                    area_mm2=area[offset],
+                    tdp_w=tdp[offset],
+                    peak_tops=peak[offset],
                     outcomes=tuple(
                         SummaryOutcome(
-                            workload=oc.workload,
-                            batch=int(oc.batch[offset]),
-                            regime=oc.regime(offset),
-                            achieved_tops=float(oc.achieved_tops[offset]),
-                            utilization=float(oc.utilization[offset]),
-                            runtime_power_w=float(
-                                oc.runtime_power_w[offset]
-                            ),
-                            latency_ms=float(oc.latency_ms[offset]),
+                            workload=workload,
+                            batch=batch[offset],
+                            regime=regime[offset],
+                            achieved_tops=achieved[offset],
+                            utilization=utilization[offset],
+                            runtime_power_w=power[offset],
+                            latency_ms=latency[offset],
                         )
-                        for oc in outcomes
+                        for workload, batch, regime, achieved, utilization,
+                        power, latency in columns
                     ),
                 )
                 summaries[index] = summary

@@ -65,11 +65,12 @@ class BatchOutcome:
     latency_ms: np.ndarray
     runtime_power_w: np.ndarray
 
-    def regime(self, index: int) -> str:
-        """The regime label for one point (mirrors ``evaluate_point``)."""
+    def regimes(self) -> list:
+        """Every point's regime label (mirrors ``evaluate_point``)."""
         if self.batch_spec == "latency-bound":
-            return "latency-bound"
-        return f"bs={int(self.batch[index])}"
+            return ["latency-bound"] * len(self.batch)
+        batches = np.asarray(self.batch, dtype=np.int64).tolist()
+        return [f"bs={batch}" for batch in batches]
 
 
 def simulate_workloads(

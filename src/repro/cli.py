@@ -472,24 +472,14 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _write_merged_journal(manifest, outcome, path: str) -> None:
     """Re-journal the merged records as one resumable JSONL file."""
-    from repro.dse.journal import Journal, JournalEntry
+    from repro.dse.journal import Journal
 
     meta = {"sweep_digest": manifest.sweep_digest, "merged": True}
+    if outcome.recipe is not None:
+        meta["recipe"] = outcome.recipe
     with Journal(path, meta=meta) as journal:
         for record in outcome.report.records:
-            journal.append(JournalEntry(
-                point=record.point,
-                status=record.status,
-                attempt=record.attempt,
-                wall_time_s=record.wall_time_s,
-                metrics=record.metrics,
-                failure=(
-                    record.failure.to_dict()
-                    if record.failure is not None else None
-                ),
-                cache=record.cache,
-                fallback=record.fallback,
-            ))
+            journal.append(record.journal_entry())
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
@@ -532,6 +522,15 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         strict=not args.keep_going,
         **_engine_options(args),
     )
+    return _print_dse_report(args, report)
+
+
+def _print_dse_report(args: argparse.Namespace, report) -> int:
+    """The dse table on stdout, failures and fallbacks on stderr.
+
+    Local and ``--remote`` runs both print through here, so the two
+    outputs cannot drift apart.
+    """
     regime = f"bs={args.batch}"
     rows = []
     for record in report.records:
@@ -653,74 +652,34 @@ def _dse_surrogate(args: argparse.Namespace, points) -> int:
 
 def _remote_dse(args: argparse.Namespace, points) -> int:
     """Run the dse table through a ``neurometer serve`` daemon."""
+    from repro.dse.engine import PointFailure, PointRecord, SweepReport
     from repro.dse.journal import SummaryResult
 
     payload = _remote_client(args).sweep(
         [[p.x, p.n, p.tx, p.ty] for p in points],
-        workloads=sorted(_WORKLOADS),
+        workloads=list(_WORKLOADS),
         batch=args.batch,
     )
-    regime = f"bs={args.batch}"
-    rows = []
-    failures = []
-    for record in payload["records"]:
-        if record.get("metrics") is None:
-            failure = record.get("failure") or {}
-            failures.append(
-                f"{tuple(record['point'])}: "
-                f"{failure.get('error_type', 'failed')}: "
-                f"{failure.get('message', '')}"
-            )
-            continue
-        point = DesignPoint(*record["point"])
-        result = SummaryResult.from_metrics(point, record["metrics"])
-        if any(o.regime == regime for o in result.outcomes):
-            runtime = [
-                f"{result.mean_achieved_tops(args.batch):.1f}",
-                f"{result.mean_utilization(args.batch):.2f}",
-                f"{result.mean_energy_efficiency(args.batch):.3f}",
-                f"{result.mean_cost_efficiency(args.batch) * 1e6:.2f}",
-            ]
-        else:
-            runtime = ["-", "-", "-", "-"]
-        rows.append(
-            [
-                point.label(),
-                f"{result.area_mm2:.0f}",
-                f"{result.tdp_w:.0f}",
-                f"{result.peak_tops:.1f}",
-            ]
-            + runtime
-        )
-    print(
-        format_table(
-            [
-                "(X,N,Tx,Ty)",
-                "mm^2",
-                "TDP W",
-                "peak",
-                "achieved",
-                "util",
-                "TOPS/W",
-                "TOPS/TCO*1e6",
-            ],
-            rows,
-        )
-    )
-    if failures:
-        print(f"\nfailed points ({len(failures)}):", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-    totals: dict = {}
-    for record in payload["records"]:
-        reason = record.get("fallback")
-        if reason:
-            totals[reason] = totals.get(reason, 0) + 1
-    _print_fallback_totals(totals)
-    if not rows:
-        print("error: every design point failed", file=sys.stderr)
-        return 2
-    return 0
+    records = []
+    for raw in payload["records"]:
+        point = DesignPoint(*raw["point"])
+        metrics = raw.get("metrics")
+        failure = raw.get("failure")
+        records.append(PointRecord(
+            point=point,
+            status=raw["status"],
+            result=(
+                SummaryResult.from_metrics(point, metrics)
+                if metrics is not None else None
+            ),
+            metrics=metrics,
+            failure=(
+                PointFailure.from_dict(point, failure)
+                if failure is not None else None
+            ),
+            fallback=raw.get("fallback"),
+        ))
+    return _print_dse_report(args, SweepReport(records=tuple(records)))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

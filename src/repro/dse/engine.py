@@ -41,7 +41,8 @@ points:
   area/TDP/peak-TOPS row where achievable (status ``degraded``).
 * **Checkpoint/resume** — with a ``journal_path``, every finished point is
   appended to a JSONL journal (:mod:`repro.dse.journal`); ``resume=True``
-  skips journaled points and rehydrates their metrics.
+  refuses a journal stamped for another recipe, skips journaled points
+  and rehydrates their metrics.
 * **Result guardrails** — every accepted result passes
   :func:`repro.integrity.validate_result`; NaN/inf/out-of-range
   values are rejected at the boundary as
@@ -70,6 +71,7 @@ from repro.dse.journal import (
     Journal,
     JournalEntry,
     SummaryResult,
+    recipe_digest,
     summarize_result,
 )
 from repro.dse.space import DesignPoint
@@ -288,6 +290,21 @@ class PointRecord:
     #: when this point was routed back to the scalar path; ``None`` for
     #: vectorized points and pure-scalar sweeps.
     fallback: Optional[str] = None
+
+    def journal_entry(self) -> JournalEntry:
+        """This record as a journal row, stamped ``source: "exact"``:
+        records come from the analytical model, never a surrogate."""
+        return JournalEntry(
+            point=self.point,
+            status=self.status,
+            attempt=self.attempt,
+            wall_time_s=self.wall_time_s,
+            metrics=self.metrics,
+            failure=self.failure.to_dict() if self.failure else None,
+            cache=self.cache,
+            fallback=self.fallback,
+            source="exact",
+        )
 
 
 def record_from_journal_entry(entry: JournalEntry) -> PointRecord:
@@ -770,25 +787,7 @@ class _SweepRun:
     def _finalize(self, task: _Task, record: PointRecord) -> None:
         self.records[task.index] = record
         if self.journal is not None and not record.from_journal:
-            self.journal.append(
-                JournalEntry(
-                    point=record.point,
-                    status=record.status,
-                    attempt=record.attempt,
-                    wall_time_s=record.wall_time_s,
-                    metrics=record.metrics,
-                    failure=(
-                        record.failure.to_dict()
-                        if record.failure is not None
-                        else None
-                    ),
-                    cache=record.cache,
-                    fallback=record.fallback,
-                    # Every row the engine writes came from the analytical
-                    # model; surrogate predictions never reach a journal.
-                    source="exact",
-                )
-            )
+            self.journal.append(record.journal_entry())
         if self.on_record is not None:
             self.on_record(record)
 
@@ -1186,9 +1185,11 @@ def run_sweep(
             (:func:`repro.integrity.validate_result`) on every
             accepted result.
         journal_path: JSONL checkpoint file; every finished point is
-            appended and fsynced.
+            appended and fsynced, under a header stamped with the
+            sweep's :func:`~repro.dse.journal.recipe_digest`.
         resume: Skip points already finished in ``journal_path`` and
-            rehydrate their journaled metrics.
+            rehydrate their journaled metrics; the journal's stamps must
+            match this run's.
         journal_meta: Extra dict folded into a *newly created* journal's
             header line (shard workers stamp the sweep digest and shard
             coordinates; see :mod:`repro.dse.shard`).
@@ -1216,7 +1217,8 @@ def run_sweep(
         finished subset when cancelled).
 
     Raises:
-        ConfigurationError: invalid engine options.
+        ConfigurationError: invalid engine options, or a resumed journal
+            stamped with another recipe or digest.
         NeuroMeterError: the first point failure, when ``strict=True``.
     """
     if backend not in ("scalar", "vector", "auto"):
@@ -1237,10 +1239,16 @@ def run_sweep(
         raise ConfigurationError("resume=True requires a journal_path")
 
     points = list(points)
+    workloads = tuple(workloads)
     batches = tuple(batches)
     journal: Optional[Journal] = None
     if journal_path is not None:
-        journal = Journal(journal_path, resume=resume, meta=journal_meta)
+        recipe = recipe_digest(workloads, batches, ctx, latency_slo_ms)
+        journal = Journal(
+            journal_path,
+            resume=resume,
+            meta={**(journal_meta or {}), "recipe": recipe},
+        )
 
     run = _SweepRun(
         points=points,

@@ -12,7 +12,7 @@ which is not serialized).
 
 Journal format (one JSON object per line)::
 
-    {"kind": "header", "version": 1, "points": 42}
+    {"kind": "header", "version": 1, "meta": {"recipe": "3f9c0a17d2b4e815"}}
     {"kind": "point", "point": [64, 2, 2, 4], "status": "ok",
      "attempt": 1, "wall_time_s": 1.8, "metrics": {...}, "failure": null}
     {"kind": "point", "point": [4, 4, 8, 16], "status": "failed",
@@ -22,6 +22,10 @@ Journal format (one JSON object per line)::
 
 ``status`` is ``ok`` (full evaluation), ``degraded`` (peak-only metrics
 after a retry), or ``failed`` (both attempts exhausted).
+
+The header's ``meta`` carries the journal's stamps (:data:`STAMPS`),
+which every reader checks through :func:`check_stamps`; the fsynced
+append discipline is :class:`AppendLog`, shared with the request log.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
+from repro.arch.component import ModelContext
+from repro.cache.keys import short_hash
+from repro.config.presets import datacenter_context
 from repro.dse.metrics import (
     arithmetic_mean,
     positive_geomean,
@@ -42,11 +50,82 @@ from repro.dse.metrics import (
 )
 from repro.dse.space import DesignPoint
 from repro.errors import ConfigurationError
+from repro.perf.graph import Graph
+from repro.perf.optimizations import OptimizationConfig
+from repro.perf.simulator import DEFAULT_LATENCY_SLO_MS, GraphSpec
 
 JOURNAL_VERSION = 1
 
 #: Final statuses a journaled point can carry.
 STATUSES = ("ok", "degraded", "failed")
+
+#: Header ``meta`` keys that decide whether a journal's rows answer a
+#: caller.  A resume, a shard worker and a shard merge refuse a journal
+#: whose header holds one of these with another value.  Other meta keys
+#: (a shard count, a search's seed) only describe the file: a
+#: re-partitioned sweep still resumes its earlier shards.
+STAMPS = ("recipe", "sweep_digest", "search_digest", "shard")
+
+
+def recipe_digest(
+    workloads: Sequence[tuple[str, Any]] = (),
+    batches: Sequence[object] = (),
+    ctx: Optional[ModelContext] = None,
+    latency_slo_ms: float = DEFAULT_LATENCY_SLO_MS,
+) -> str:
+    """Version-salted digest of what a sweep row depends on besides its
+    point: context (``None`` is Table I's), workload names and content,
+    batches and SLO — not backend, jobs, timeouts or retries.  A graph
+    stands in by its memoized spec digest (canonicalization skips its
+    layers); other workload objects are hashed as they are.
+    """
+    opt = OptimizationConfig.all_on()
+    contents = [
+        (name, GraphSpec.of(graph, opt).digest
+         if isinstance(graph, Graph) else graph)
+        for name, graph in workloads
+    ]
+    ctx = ctx if ctx is not None else datacenter_context()
+    return short_hash(
+        "recipe", ctx, contents, list(batches), float(latency_slo_ms)
+    )
+
+
+def check_stamps(
+    path: str | os.PathLike,
+    stamps: dict,
+    required: Sequence[str] = (),
+) -> dict:
+    """Refuse a journal whose header stamps disagree with the caller's.
+
+    Every :data:`STAMPS` key in both ``stamps`` and the header's meta
+    must be equal.  A key the header lacks passes (older journals still
+    resume) unless it is ``required``; a missing or empty file passes.
+    Returns the header's meta.
+
+    Raises:
+        ConfigurationError: naming the journal and the stamp.
+    """
+    path = os.fspath(path)
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return {}
+    meta = (journal_header(path) or {}).get("meta") or {}
+    for key in [k for k in STAMPS if k in stamps]:
+        label = key.replace("_", " ")
+        found = meta.get(key)
+        if found is None:
+            if key in required:
+                raise ConfigurationError(
+                    f"journal {path} has no {label} in its header; it "
+                    "cannot be verified against this run"
+                )
+        elif found != stamps[key]:
+            raise ConfigurationError(
+                f"journal {path} was written for {label} {found}, not "
+                f"{stamps[key]}; resume it with the recipe it was "
+                "written for, or use a fresh journal path"
+            )
+    return meta
 
 
 def summarize_result(result: Any) -> dict:
@@ -251,18 +330,6 @@ class JournalEntry:
             source=payload.get("source"),
         )
 
-    @classmethod
-    def from_json(cls, line: str) -> Optional["JournalEntry"]:
-        """Parse one journal line; ``None`` for headers/corrupt lines."""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        try:
-            return cls.from_payload(payload)
-        except (KeyError, TypeError, ValueError, ConfigurationError):
-            return None
-
     def summary_result(self) -> Optional[SummaryResult]:
         """Rehydrate the metrics into a result row (``None`` if failed)."""
         if self.metrics is None:
@@ -270,39 +337,38 @@ class JournalEntry:
         return SummaryResult.from_metrics(self.point, self.metrics)
 
 
-class Journal:
-    """Append-only JSONL writer with crash-safe per-line flushing.
+class AppendLog:
+    """An fsynced JSONL append log, the discipline both logs share.
 
-    ``meta`` is an optional JSON-serializable dict folded into the header
-    line under the ``"meta"`` key — shard workers stamp the sweep digest
-    and their shard coordinates there so a later merge can refuse
-    journals from a different grid (see :func:`journal_header`).  The
-    header is only written when the file starts empty; resuming an
-    existing journal keeps whatever header it already has.
+    Opening creates the directory, cuts a torn tail with the log's own
+    line validator, so the next record never lands on a partial line
+    (or truncates the file when ``fresh``), and writes ``header`` once
+    into an empty file.  Each line is then one write +
+    flush + fsync under a lock, so concurrent writers never interleave
+    and a line is on disk before its writer returns.  ``appended``
+    counts the lines written since opening, header excluded.
     """
 
     def __init__(
         self,
         path: str | os.PathLike,
-        resume: bool = False,
-        meta: Optional[dict] = None,
+        header: dict,
+        is_damaged: Callable[[bytes], bool],
+        fresh: bool = False,
     ):
         self.path = os.fspath(path)
-        self.entries: list[JournalEntry] = []
-        if resume and os.path.exists(self.path):
-            self.entries = load_journal(self.path)
-            _repair_tail(self.path)
-        mode = "a" if resume else "w"
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
+        self.repaired_lines = 0
+        if not fresh and os.path.exists(self.path):
+            self.repaired_lines = repair_tail(self.path, is_damaged)
+        self._lock = threading.Lock()
         self._fh: Optional[io.TextIOBase] = open(
-            self.path, mode, encoding="utf-8"
+            self.path, "w" if fresh else "a", encoding="utf-8"
         )
-        if mode == "w" or os.path.getsize(self.path) == 0:
-            header = {"kind": "header", "version": JOURNAL_VERSION}
-            if meta:
-                header["meta"] = meta
+        self.appended = 0
+        if os.path.getsize(self.path) == 0:
             self._write_line(json.dumps(header, sort_keys=True))
 
     def _write_line(self, line: str) -> None:
@@ -311,27 +377,61 @@ class Journal:
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
-    def append(self, entry: JournalEntry) -> None:
-        """Record one finished point; flushed and fsynced immediately."""
-        if self._fh is None:
-            raise ConfigurationError("journal is closed")
-        self.entries.append(entry)
-        self._write_line(entry.to_json())
-
-    def finished_points(self) -> set[DesignPoint]:
-        """Points with a final record (ok, degraded, *or* failed)."""
-        return {entry.point for entry in self.entries}
+    def _append_line(self, line: str) -> None:
+        with self._lock:
+            if self._fh is None:
+                raise ConfigurationError(f"log {self.path} is closed")
+            self._write_line(line)
+            self.appended += 1
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
-    def __enter__(self) -> "Journal":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class Journal(AppendLog):
+    """The sweep checkpoint: one fsynced line per finished point.
+
+    ``meta`` is a JSON-serializable dict folded into a new journal's
+    header under ``"meta"``; its :data:`STAMPS` keys are the journal's
+    provenance.  A fresh journal truncates the file.  A resumed one
+    keeps its header, is refused through :func:`check_stamps` when a
+    stamp in ``meta`` disagrees with it, and loads its finished points
+    into ``entries``.
+    """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        resume: bool = False,
+        meta: Optional[dict] = None,
+    ):
+        self.entries: list[JournalEntry] = []
+        if resume:
+            check_stamps(path, meta or {})
+            if os.path.exists(path):
+                self.entries = load_journal(path)
+        header: dict = {"kind": "header", "version": JOURNAL_VERSION}
+        if meta:
+            header["meta"] = meta
+        super().__init__(path, header, _line_is_damaged, fresh=not resume)
+
+    def append(self, entry: JournalEntry) -> None:
+        """Record one finished point; flushed and fsynced immediately."""
+        self._append_line(entry.to_json())
+        self.entries.append(entry)
+
+    def finished_points(self) -> set[DesignPoint]:
+        """Points with a final record (ok, degraded, *or* failed)."""
+        return {entry.point for entry in self.entries}
 
 
 def load_journal(
@@ -381,26 +481,16 @@ def load_journal(
         ) as error:
             damaged.append((number, error))
             continue
-        if damaged:
+        if damaged and not salvage:
             # A valid line after a damaged one: not a torn tail.
             bad_number, bad_error = damaged[0]
-            if not salvage:
-                raise ConfigurationError(
-                    f"corrupt journal line {bad_number} in "
-                    f"{os.fspath(path)}: {bad_error}"
-                ) from bad_error
-            for skipped_number, skipped_error in damaged:
-                warnings.warn(
-                    f"salvage: skipping corrupt journal line "
-                    f"{skipped_number} in {os.fspath(path)}: "
-                    f"{skipped_error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            damaged = []
+            raise ConfigurationError(
+                f"corrupt journal line {bad_number} in "
+                f"{os.fspath(path)}: {bad_error}"
+            ) from bad_error
         if entry is not None:
             entries.append(entry)
-    if damaged and salvage:
+    if salvage:
         for skipped_number, skipped_error in damaged:
             warnings.warn(
                 f"salvage: skipping corrupt journal line "
@@ -452,13 +542,7 @@ def journal_header(path: str | os.PathLike) -> Optional[dict]:
 
 
 def _repair_tail(path: str) -> None:
-    """Truncate damaged trailing lines so appended records start clean.
-
-    Without this, resuming after a crash mid-write would append the next
-    JSON record onto the partial line, corrupting *both*.  Only trailing
-    damage is repaired (``load_journal`` has already raised for anything
-    deeper); the repair is silent because the load already warned.
-    """
+    """:func:`repair_tail` with the sweep journal's own validator."""
     repair_tail(path)
 
 

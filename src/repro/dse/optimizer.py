@@ -130,48 +130,6 @@ class OptimizationOutcome:
     cancelled: bool = False
 
 
-def _journal_covers(
-    journal_path: Union[str, os.PathLike],
-    digest: str,
-    points: Sequence[DesignPoint],
-):
-    """Warm-start check: does a compatible journal already cover the grid?
-
-    Answers a record list when the journal's header carries a matching
-    sweep digest *and* every candidate point has a finished row — the
-    optimization then ranks straight from the journal without touching
-    the engine.  A journal stamped with a *different* digest is a typed
-    refusal (it belongs to another grid, workload set, or package
-    version; resuming from it point-by-point would silently mix
-    recipes).  A journal with no digest (legacy, or engine-written
-    without meta) answers ``None`` and the engine resumes normally.
-
-    Raises:
-        ConfigurationError: the journal header digest mismatches.
-    """
-    from repro.dse.engine import record_from_journal_entry
-    from repro.dse.journal import journal_header, load_journal
-
-    header = journal_header(journal_path) or {}
-    meta = header.get("meta") or {}
-    stamped = meta.get("sweep_digest")
-    if stamped is None:
-        return None
-    if stamped != digest:
-        raise ConfigurationError(
-            f"journal {os.fspath(journal_path)} was written for sweep "
-            f"digest {stamped}, but this optimization digests to "
-            f"{digest} — different points, workloads, batches, or "
-            "package version; use a fresh journal path"
-        )
-    by_point = {}
-    for entry in load_journal(journal_path):
-        by_point[entry.point] = entry  # last record wins, as on resume
-    if any(point not in by_point for point in points):
-        return None  # partial coverage: let the engine resume the rest
-    return [record_from_journal_entry(by_point[p]) for p in points]
-
-
 def _rank_records(
     records,
     failures,
@@ -256,8 +214,9 @@ def optimize_design(
     With ``strategy="exhaustive"`` every candidate is evaluated on the
     fault-tolerant sweep engine (:func:`repro.dse.engine.run_sweep`) —
     process parallelism, per-point timeouts, checkpoint/resume — and the
-    journal is digest-stamped so a later call over the same recipe ranks
-    straight from the journal without re-running the sweep.
+    journal is stamped with the grid's sweep digest, so a resumed call
+    over the same grid and recipe ranks from the journal without
+    re-evaluating a point, and one over another grid is refused.
 
     With ``strategy="surrogate"`` a learned cost model proposes which
     candidates deserve exact evaluation
@@ -292,8 +251,8 @@ def optimize_design(
 
     Raises:
         ConfigurationError: an achieved-* objective without workloads,
-            an unknown strategy, or a resume journal stamped with a
-            different sweep digest.
+            an unknown strategy, or a resume journal stamped with
+            another sweep digest or recipe.
         OptimizationError: no candidate satisfies the constraints.
     """
     from repro.dse.engine import run_sweep
@@ -346,22 +305,7 @@ def optimize_design(
             cancelled=search.cancelled,
         )
 
-    workload_names = [name for name, _ in workloads]
-    digest = sweep_digest(points, workload_names, batches)
-    if journal_path is not None and resume and os.path.exists(journal_path):
-        covered = _journal_covers(journal_path, digest, points)
-        if covered is not None:
-            return _rank_records(
-                covered,
-                [r.failure for r in covered if r.failure is not None],
-                len(points),
-                objective,
-                constraints,
-                batch,
-                strategy="exhaustive",
-                exact_evaluations=0,
-                cancelled=False,
-            )
+    digest = sweep_digest(points, [name for name, _ in workloads], batches)
     report = run_sweep(
         points,
         workloads,

@@ -53,7 +53,7 @@ from repro.dse.engine import (
 from repro.dse.journal import (
     JournalEntry,
     atomic_write,
-    journal_header,
+    check_stamps,
     load_journal,
 )
 from repro.dse.space import DesignPoint
@@ -571,36 +571,6 @@ def _resolve_workloads(names: Sequence[str]) -> tuple:
     return tuple(pairs)
 
 
-def _check_journal_provenance(
-    journal_path: str, manifest: ShardManifest, index: int
-) -> None:
-    """An existing shard journal must carry this manifest's digest."""
-    if not os.path.exists(journal_path) or \
-            os.path.getsize(journal_path) == 0:
-        return
-    header = journal_header(journal_path)
-    meta = (header or {}).get("meta") or {}
-    digest = meta.get("sweep_digest")
-    if digest is None:
-        raise ConfigurationError(
-            f"journal {journal_path} has no sweep digest in its header; "
-            "it was not written by a shard worker and cannot be verified "
-            "against the manifest"
-        )
-    if digest != manifest.sweep_digest:
-        raise ConfigurationError(
-            f"journal {journal_path} was written for sweep digest "
-            f"{digest}, but the manifest describes {manifest.sweep_digest} "
-            "— a different grid, recipe, or package version"
-        )
-    shard = meta.get("shard")
-    if shard is not None and int(shard) != index:
-        raise ConfigurationError(
-            f"journal {journal_path} belongs to shard {shard}, "
-            f"not shard {index}"
-        )
-
-
 def run_shard(
     manifest: ShardManifest,
     index: int,
@@ -628,12 +598,16 @@ def run_shard(
     Raises:
         ShardLeaseHeldError: a live worker owns the shard.
         ConfigurationError: the journal on disk belongs to a different
-            sweep/manifest, or the options are invalid.
+            sweep/manifest or recipe (e.g. another clock), or the
+            options are invalid.
     """
     journal_dir = os.fspath(journal_dir)
     os.makedirs(journal_dir, exist_ok=True)
     journal_path = os.path.join(journal_dir, manifest.journal_name(index))
-    _check_journal_provenance(journal_path, manifest, index)
+    # Only a shard worker's journal carries the manifest's sweep digest.
+    check_stamps(
+        journal_path, manifest.journal_meta(index), required=("sweep_digest",)
+    )
     lease = ShardLease(
         os.path.join(journal_dir, manifest.lease_name(index)),
         shard=index,
@@ -750,13 +724,15 @@ class MergeOutcome:
     finished; ``duplicates`` counts points journaled by more than one
     shard with *identical* payloads (divergent payloads raise instead);
     ``salvaged_lines`` counts corrupt mid-file lines skipped under
-    salvage.
+    salvage; ``recipe`` is the recipe digest the shard journals were
+    stamped with (``None`` when none carried one).
     """
 
     report: SweepReport
     missing: tuple[DesignPoint, ...] = ()
     duplicates: int = 0
     salvaged_lines: int = 0
+    recipe: Optional[str] = None
 
     @property
     def complete(self) -> bool:
@@ -801,15 +777,17 @@ def merge_journals(
 ) -> MergeOutcome:
     """Rebuild one verified :class:`SweepReport` from all shard journals.
 
-    Every journal's header digest is checked against the manifest before
-    a single line is trusted; entries are deduplicated by point, and two
-    journals disagreeing about one point's *results* is an integrity
-    failure — the merge refuses to pick a winner.
+    Every journal's header digest is checked against the manifest, and
+    its recipe (context, workload content, SLO) against the other
+    shards', before a single line is trusted; entries are deduplicated
+    by point, and two journals disagreeing about one point's *results*
+    is an integrity failure — the merge refuses to pick a winner.
 
     Raises:
         ConfigurationError: a journal belongs to a different sweep
-            digest (grid, recipe, or package version skew), or carries
-            no verifiable header.
+            digest (grid, recipe, or package version skew), carries no
+            verifiable header, or was run with another recipe than an
+            earlier shard (e.g. at another clock).
         InvariantViolation: cross-shard duplicate points with divergent
             payloads, or journaled points absent from the manifest —
             with one :class:`~repro.integrity.Violation` line per
@@ -824,13 +802,18 @@ def merge_journals(
     violations: list[Violation] = []
     duplicates = 0
     salvaged = 0
+    recipe: Optional[str] = None
     for spec in manifest.shards:
         journal_path = os.path.join(
             journal_dir, manifest.journal_name(spec.index)
         )
         if not os.path.exists(journal_path):
             continue  # entirely missing shard: reported via `missing`
-        _check_journal_provenance(journal_path, manifest, spec.index)
+        stamps = manifest.journal_meta(spec.index)
+        if recipe is not None:
+            stamps["recipe"] = recipe
+        meta = check_stamps(journal_path, stamps, required=("sweep_digest",))
+        recipe = recipe or meta.get("recipe")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             entries = load_journal(journal_path, salvage=salvage)
@@ -889,4 +872,5 @@ def merge_journals(
         missing=missing,
         duplicates=duplicates,
         salvaged_lines=salvaged,
+        recipe=recipe,
     )

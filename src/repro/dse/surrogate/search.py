@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.cache.keys import short_hash
 from repro.dse.engine import SweepReport, run_sweep
-from repro.dse.journal import JournalEntry, journal_header, load_journal
+from repro.dse.journal import check_stamps, load_journal
 from repro.dse.optimizer import Constraints, Objective, _score_fn
 from repro.dse.pareto import pareto_front
 from repro.dse.seeding import derive_seed, resolve_seed
@@ -634,15 +634,7 @@ def surrogate_search(
     failed: set[DesignPoint] = set()
     training_entries = []
     if journal_path is not None and resume and os.path.exists(journal_path):
-        header = journal_header(journal_path) or {}
-        meta = header.get("meta") or {}
-        prior = meta.get("search_digest")
-        if prior is not None and prior != recipe:
-            raise ConfigurationError(
-                f"journal {os.fspath(journal_path)} belongs to search "
-                f"recipe {prior}, not {recipe} — a different space, "
-                "workloads, or package version; start a fresh journal"
-            )
+        check_stamps(journal_path, {"search_digest": recipe})
         for entry in load_journal(journal_path):
             training_entries.append(entry)
             row = entry.summary_result()
@@ -749,12 +741,7 @@ def surrogate_search(
             else:
                 evaluated[record.point] = entry_row
             if record.metrics is not None:
-                training_entries.append(JournalEntry(
-                    point=record.point,
-                    status=record.status,
-                    metrics=record.metrics,
-                    source="exact",
-                ))
+                training_entries.append(record.journal_entry())
         if report.cancelled:
             cancelled = True
             return False

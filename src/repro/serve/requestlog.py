@@ -3,22 +3,19 @@
 One line per finished request — endpoint, HTTP status, error type if
 any, wall time — flushed and fsynced like the sweep journal, so a
 post-mortem after a crash or a SIGKILL sees every request the daemon
-actually resolved.  The tail-repair loop is shared with the sweep
-journal (:func:`repro.dse.journal.repair_tail`): on reopen, a torn
-trailing write (single- or multi-line) is truncated away so the next
-append starts a clean record.
+actually resolved.  The file discipline is the sweep journal's own
+(:class:`repro.dse.journal.AppendLog`): on reopen, a torn trailing
+write (single- or multi-line) is truncated away so the next append
+starts a clean record.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import threading
 from typing import Optional
 
-from repro.dse.journal import repair_tail
-from repro.errors import ConfigurationError
+from repro.dse.journal import AppendLog
 
 REQUEST_LOG_VERSION = 1
 
@@ -35,47 +32,30 @@ def _request_line_is_damaged(line: bytes) -> bool:
     )
 
 
-class RequestLog:
+class RequestLog(AppendLog):
     """Append-only request journal with crash-safe per-line flushing.
 
     ``record`` is thread-safe: the daemon journals from its executor
-    threads (never the event loop), so the write+flush+fsync of one
-    entry and the ``recorded_total`` bump are serialized under a lock
-    to keep lines whole and the count exact.
+    threads (never the event loop), and each entry's write + flush +
+    fsync and its count in ``recorded_total`` happen under the log's
+    lock, keeping lines whole and the count exact.
     """
 
     def __init__(self, path: "str | os.PathLike"):
-        self._write_lock = threading.Lock()
-        self.path = os.fspath(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self.repaired_lines = 0
-        if os.path.exists(self.path):
-            self.repaired_lines = repair_tail(
-                self.path, is_damaged=_request_line_is_damaged
-            )
-        self._fh: Optional[io.TextIOBase] = open(
-            self.path, "a", encoding="utf-8"
+        super().__init__(
+            path,
+            {
+                "kind": "header",
+                "log": "serve-requests",
+                "version": REQUEST_LOG_VERSION,
+            },
+            _request_line_is_damaged,
         )
-        if os.path.getsize(self.path) == 0:
-            self._write_line(
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "log": "serve-requests",
-                        "version": REQUEST_LOG_VERSION,
-                    },
-                    sort_keys=True,
-                )
-            )
-        self.recorded_total = 0
 
-    def _write_line(self, line: str) -> None:
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+    @property
+    def recorded_total(self) -> int:
+        """Requests journaled since this log was opened."""
+        return self.appended
 
     def record(
         self,
@@ -87,7 +67,7 @@ class RequestLog:
         detail: Optional[dict] = None,
     ) -> None:
         """Journal one resolved request; flushed immediately."""
-        line = json.dumps(
+        self._append_line(json.dumps(
             {
                 "kind": "request",
                 "id": request_id,
@@ -98,24 +78,7 @@ class RequestLog:
                 "detail": detail,
             },
             sort_keys=True,
-        )
-        with self._write_lock:
-            if self._fh is None:
-                raise ConfigurationError("request log is closed")
-            self._write_line(line)
-            self.recorded_total += 1
-
-    def close(self) -> None:
-        with self._write_lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "RequestLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        ))
 
 
 def load_request_log(path: "str | os.PathLike") -> list:

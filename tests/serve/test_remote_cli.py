@@ -29,12 +29,14 @@ def test_remote_report_matches_local_numbers(harness_factory, capsys):
 
 def test_remote_dse_renders_the_table(harness_factory, capsys):
     harness = harness_factory(jobs=2)
-    code = main(
-        ["dse", "--point", "32,2,2,2", "--point", "64,2,2,4",
-         "--batch", "1", "--remote", harness.url]
-    )
+    argv = ["dse", "--point", "32,2,2,2", "--point", "64,2,2,4",
+            "--batch", "1"]
+    code = main(argv + ["--remote", harness.url])
     out = capsys.readouterr().out
     assert code == 0
     assert "(X,N,Tx,Ty)" in out
     assert "(32,2,2,2)" in out
     assert "(64,2,2,4)" in out
+    # One renderer: the local table is the remote one, byte for byte.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
