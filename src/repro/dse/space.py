@@ -38,6 +38,10 @@ class DesignPoint:
     ty: int
 
     def __post_init__(self) -> None:
+        x, n, tx, ty = self.x, self.n, self.tx, self.ty
+        if type(x) is type(n) is type(tx) is type(ty) is int and \
+                x >= 1 and n >= 1 and tx >= 1 and ty >= 1:
+            return
         for name in ("x", "n", "tx", "ty"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,14 +141,96 @@ def _fit_trend(
     ) @ coef
 
 
+class _Splits(NamedTuple):
+    """The distinct stump splits of one training matrix, in scan order.
+
+    ``candidates[i]`` is ``(column, threshold)``: rows with
+    ``col <= threshold`` go left.  ``groups`` holds the splits with
+    ``k`` left rows, for each ``k``: their positions in ``candidates``
+    and their ``(P, k)`` left and ``(P, n - k)`` right row-index
+    matrices, each row ascending.
+    """
+
+    candidates: list[tuple[int, float]]
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _candidate_splits(features: "np.ndarray") -> _Splits:
+    """The splits a stump on ``features`` may take.
+
+    Each column offers its interior quantiles as thresholds, columns in
+    order and thresholds ascending.  A split that leaves a side empty is
+    dropped, and so is one whose partition repeats an earlier split's:
+    its SSE is the same bit for bit, so the strict
+    ``sse < best - 1e-12`` test of :func:`_fit_stumps` never picks it.
+    """
+    count = features.shape[0]
+    grid = np.linspace(0.05, 0.95, _THRESHOLD_GRID)
+    candidates: list[tuple[int, float]] = []
+    masks: list["np.ndarray"] = []
+    seen: set[bytes] = set()
+    for j in range(features.shape[1]):
+        col = features[:, j]
+        thresholds = np.unique(np.quantile(col, grid))
+        below = col[None, :] <= thresholds[:, None]
+        for thr, mask, left in zip(
+            thresholds.tolist(), below, below.sum(axis=1).tolist()
+        ):
+            key = mask.tobytes()
+            if 0 < left < count and key not in seen:
+                seen.add(key)
+                candidates.append((j, thr))
+                masks.append(mask)
+    chosen = np.asarray(masks, dtype=bool).reshape(len(masks), count)
+    lefts = chosen.sum(axis=1)
+    groups = []
+    for k in np.unique(lefts).tolist():
+        positions = np.flatnonzero(lefts == k)
+        group = chosen[positions]
+        groups.append((
+            positions,
+            np.nonzero(group)[1].reshape(-1, k),
+            np.nonzero(~group)[1].reshape(-1, count - k),
+        ))
+    return _Splits(candidates, groups)
+
+
+def _score_splits(splits: _Splits, residual: "np.ndarray") -> "np.ndarray":
+    """Left mean, right mean and SSE of every split: ``(3, splits)``.
+
+    These are the IEEE operations of a 1-D ``mean`` and ``sum`` over
+    each side, in the same order: every gathered row is contiguous, and
+    NumPy reduces each row pairwise, as it does a 1-D array.
+    """
+    scores = np.empty((3, len(splits.candidates)))
+    for positions, left_rows, right_rows in splits.groups:
+        left = residual[left_rows]
+        right = residual[right_rows]
+        left_mean = left.sum(axis=1) / left_rows.shape[1]
+        right_mean = right.sum(axis=1) / right_rows.shape[1]
+        scores[0, positions] = left_mean
+        scores[1, positions] = right_mean
+        scores[2, positions] = (
+            ((left - left_mean[:, None]) ** 2).sum(axis=1)
+            + ((right - right_mean[:, None]) ** 2).sum(axis=1)
+        )
+    return scores
+
+
 def _fit_stumps(
     features: "np.ndarray",
     target: "np.ndarray",
+    splits: _Splits,
     rounds: int,
     learning_rate: float,
     trend: bool = True,
 ) -> _StumpEnsemble:
-    """Optional ridge trend, then greedy least-squares stump boosting."""
+    """Optional ridge trend, then greedy least-squares stump boosting.
+
+    ``splits`` is :func:`_candidate_splits` of ``features``.  Each round
+    takes the first split in scan order whose SSE beats the best so far
+    by more than 1e-12.
+    """
     base = float(np.mean(target))
     if trend:
         mu, sigma, coef, residual0 = _fit_trend(features, target)
@@ -162,37 +244,20 @@ def _fit_stumps(
     thrs: list[float] = []
     lefts: list[float] = []
     rights: list[float] = []
-    # Precompute each column's candidate thresholds (interior quantiles).
-    grid = np.linspace(0.05, 0.95, _THRESHOLD_GRID)
-    candidates = [
-        np.unique(np.quantile(features[:, j], grid))
-        for j in range(features.shape[1])
-    ]
     for _ in range(rounds):
         residual = target - pred
         best_sse = float(np.sum(residual * residual))
         best = None
-        for j in range(features.shape[1]):
-            col = features[:, j]
-            for thr in candidates[j]:
-                mask = col <= thr
-                count = int(mask.sum())
-                if count == 0 or count == mask.shape[0]:
-                    continue
-                left = float(residual[mask].mean())
-                right = float(residual[~mask].mean())
-                sse = float(
-                    np.sum((residual[mask] - left) ** 2)
-                    + np.sum((residual[~mask] - right) ** 2)
-                )
-                if sse < best_sse - 1e-12:
-                    best_sse = sse
-                    best = (j, float(thr), left, right)
+        means_left, means_right, sses = _score_splits(splits, residual)
+        for i, sse in enumerate(sses.tolist()):
+            if sse < best_sse - 1e-12:
+                best_sse = sse
+                best = i
         if best is None:
             break  # no split improves: the residual is flat
-        j, thr, left, right = best
-        step_left = learning_rate * left
-        step_right = learning_rate * right
+        j, thr = splits.candidates[best]
+        step_left = learning_rate * float(means_left[best])
+        step_right = learning_rate * float(means_right[best])
         pred = pred + np.where(
             features[:, j] <= thr, step_left, step_right
         )
@@ -435,6 +500,10 @@ def fit_surrogate(
             picks = np.arange(count)  # one member sees every row
         else:
             picks = rng.integers(0, count, size=count)
+        rows = features[picks]
+        # Targets with the same finite rows share one training matrix,
+        # and so its candidate splits.
+        splits: dict[bytes, _Splits] = {}
         per_target: list[Optional[_StumpEnsemble]] = []
         for t in range(targets.shape[1]):
             y = targets[picks, t]
@@ -443,8 +512,11 @@ def fit_surrogate(
                 per_target.append(None)
                 continue
             y_fit = np.log2(y[finite]) if log_scale[t] else y[finite]
+            key = finite.tobytes()
+            if key not in splits:
+                splits[key] = _candidate_splits(rows[finite])
             per_target.append(_fit_stumps(
-                features[picks][finite], y_fit, rounds, learning_rate,
+                rows[finite], y_fit, splits[key], rounds, learning_rate,
                 trend=trend,
             ))
         fitted.append(tuple(per_target))

@@ -103,36 +103,61 @@ def validate_metrics(metrics: Mapping[str, float], prefix: str = "") -> None:
             check_nonnegative(field, value)
 
 
+_INF = math.inf
+
+
 def validate_result(result: "DesignPointResult") -> "DesignPointResult":
     """Validate one evaluated design point; return it when clean.
 
     Checks the chip-level numbers (area, TDP, peak TOPS must be positive
     and finite) and every workload outcome (achieved TOPS non-negative,
     utilization within [0, 1], runtime power positive, batch >= 1).
+    Each set of numbers is first screened with plain comparisons, which
+    NaN fails; the named checks run only when the screen fails, to
+    accept what it was too strict for (ints) or to name the failure.
 
     Raises:
         NumericalError: naming the offending field path.
     """
-    check_positive("area_mm2", result.area_mm2)
-    check_positive("tdp_w", result.tdp_w)
-    check_positive("peak_tops", result.peak_tops)
+    area, tdp, peak = result.area_mm2, result.tdp_w, result.peak_tops
+    if not (
+        type(area) is float and type(tdp) is float and type(peak) is float
+        and 0.0 < area < _INF and 0.0 < tdp < _INF and 0.0 < peak < _INF
+    ):
+        check_positive("area_mm2", area)
+        check_positive("tdp_w", tdp)
+        check_positive("peak_tops", peak)
+    max_utilization = 1.0 + UTILIZATION_SLACK
     for i, outcome in enumerate(result.outcomes):
+        achieved = outcome.achieved_tops
+        utilization = outcome.utilization
+        power = outcome.runtime_power_w
+        # Fresh outcomes carry a SimulationResult; journal/vector rows
+        # carry latency_ms directly (possibly None on pre-upgrade rows).
+        sim = getattr(outcome, "result", None)
+        latency_ms = (
+            sim.latency_ms
+            if sim is not None
+            else getattr(outcome, "latency_ms", None)
+        )
+        if (
+            type(achieved) is float and type(utilization) is float
+            and type(power) is float
+            and 0.0 <= achieved < _INF
+            and 0.0 <= utilization <= max_utilization
+            and 0.0 < power < _INF and outcome.batch >= 1
+            and (latency_ms is None
+                 or type(latency_ms) is float and 0.0 <= latency_ms < _INF)
+        ):
+            continue
         # Checked by bare field name; the indexed path is formatted only
         # for the error.
         try:
-            check_nonnegative("achieved_tops", outcome.achieved_tops)
-            check_fraction("utilization", outcome.utilization)
-            check_positive("runtime_power_w", outcome.runtime_power_w)
+            check_nonnegative("achieved_tops", achieved)
+            check_fraction("utilization", utilization)
+            check_positive("runtime_power_w", power)
             if outcome.batch < 1:
                 raise NumericalError("batch", outcome.batch, "must be >= 1")
-            # Fresh outcomes carry a SimulationResult; journal/vector rows
-            # carry latency_ms directly (possibly None on pre-upgrade rows).
-            sim = getattr(outcome, "result", None)
-            latency_ms = (
-                sim.latency_ms
-                if sim is not None
-                else getattr(outcome, "latency_ms", None)
-            )
             if latency_ms is not None:
                 check_nonnegative("latency_ms", latency_ms)
         except NumericalError as error:

@@ -37,7 +37,7 @@ from repro.errors import (
     NumericalError,
     PointTimeoutError,
 )
-from repro.integrity import validate_result
+from repro.integrity import UTILIZATION_SLACK, validate_result
 
 GOOD = DesignPoint(16, 1, 2, 2)
 GOOD2 = DesignPoint(32, 1, 2, 2)
@@ -287,9 +287,26 @@ def test_validate_result_field_paths():
         ({"runtime_power_w": 0.0}, "runtime_power_w", "must be positive"),
         ({"batch": 0}, "batch", "must be >= 1"),
         ({"latency_ms": -1.0}, "latency_ms", "must be non-negative"),
+        ({"latency_ms": float("inf")}, "latency_ms", "infinite"),
+        ({"achieved_tops": True}, "achieved_tops", "not a number"),
+        ({"runtime_power_w": "80"}, "runtime_power_w", "not a number"),
     ],
 )
 def test_validate_result_names_the_failing_outcome(change, field, reason):
+    with pytest.raises(NumericalError) as caught:
+        validate_result(_summary_with(**change))
+    value = change[field]
+    assert caught.value.field == f"outcomes[2].{field}"
+    assert caught.value.value is value
+    assert caught.value.reason == reason
+    assert str(caught.value) == (
+        f"invalid numerical result at outcomes[2].{field}: "
+        f"{value!r}: {reason}"
+    )
+
+
+def _summary_with(**change) -> SummaryResult:
+    """Four clean outcomes, the third one changed."""
     clean = SummaryOutcome(
         workload="fake",
         batch=1,
@@ -299,24 +316,30 @@ def test_validate_result_names_the_failing_outcome(change, field, reason):
         runtime_power_w=80.0,
         latency_ms=1.0,
     )
-    bad = replace(clean, **change)
-    result = SummaryResult(
+    return SummaryResult(
         point=GOOD,
         area_mm2=300.0,
         tdp_w=100.0,
         peak_tops=50.0,
-        outcomes=(clean, clean, bad, clean),
+        outcomes=(clean, clean, replace(clean, **change), clean),
     )
-    with pytest.raises(NumericalError) as caught:
-        validate_result(result)
-    value = change[field]
-    assert caught.value.field == f"outcomes[2].{field}"
-    assert caught.value.value is value
-    assert caught.value.reason == reason
-    assert str(caught.value) == (
-        f"invalid numerical result at outcomes[2].{field}: "
-        f"{value!r}: {reason}"
-    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"achieved_tops": 10, "runtime_power_w": 80, "latency_ms": 0},
+        {"utilization": 1.0 + UTILIZATION_SLACK / 2},
+        {"utilization": 1.0 + UTILIZATION_SLACK},
+        {"utilization": 0.0, "achieved_tops": 0.0, "latency_ms": None},
+    ],
+)
+def test_validate_result_accepts_ints_and_in_band_utilization(change):
+    result = _summary_with(**change)
+    assert validate_result(result) is result
+    # Ints pass at the chip level too.
+    result = replace(result, area_mm2=300, tdp_w=100, peak_tops=50)
+    assert validate_result(result) is result
 
 
 def test_validation_can_be_disabled(monkeypatch):
@@ -496,6 +519,36 @@ def test_design_point_validation_names_offending_field():
         DesignPoint(4, 1, -2, 1)
     with pytest.raises(ConfigurationError, match="field n"):
         DesignPoint(4, 1.5, 2, 1)
+
+
+@pytest.mark.parametrize("field", ["x", "n", "tx", "ty"])
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        (True, "must be an integer, got True"),
+        (2.0, "must be an integer, got 2.0"),
+        (0, "must be positive, got 0"),
+        (-3, "must be positive, got -3"),
+    ],
+)
+def test_design_point_validation_messages(field, value, problem):
+    fields = {"x": 64, "n": 2, "tx": 2, "ty": 4}
+    fields[field] = value
+    shown = ", ".join(f"{name}={v!r}" for name, v in fields.items())
+    with pytest.raises(ConfigurationError) as caught:
+        DesignPoint(**fields)
+    assert str(caught.value) == (
+        f"design point field {field} {problem} in DesignPoint({shown})"
+    )
+
+
+def test_design_point_validation_names_the_first_bad_field():
+    with pytest.raises(ConfigurationError) as caught:
+        DesignPoint(4, 0, 1.5, 1)
+    assert str(caught.value) == (
+        "design point field n must be positive, got 0 in "
+        "DesignPoint(x=4, n=0, tx=1.5, ty=1)"
+    )
 
 
 def test_point_failure_describe_and_roundtrip():
