@@ -16,7 +16,8 @@ arrays, through the scalar classes' own rules and rollups:
   over the same arrays;
 * :mod:`repro.batch.estimator` groups a sweep's points by shape, screens
   the batched arrays through the integrity contracts, and materializes
-  per-point :class:`~repro.dse.journal.SummaryResult` rows.
+  per-point :class:`~repro.dse.sweep.DesignPointResult` rows, the same
+  type the scalar path returns.
 
 Every shape vectorizes, and ``tests/batch/`` checks the results against
 the scalar walk bit for bit.

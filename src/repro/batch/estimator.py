@@ -21,7 +21,7 @@ attached, and a point the model rejects goes back with
 authentic error.  The batched outputs pass the NaN/inf/range screens
 the component cache applies (:mod:`repro.integrity.contracts`).
 
-Successful batched summaries are written through the process-wide
+Successful batched result rows are written through the process-wide
 estimate cache (:mod:`repro.cache`), keyed by a digest of the context,
 shape, workload set and batch regimes shared by the call, plus the
 point's coordinates and per-point values, so a warm re-sweep skips the
@@ -47,8 +47,8 @@ from repro.config.presets import (
     datacenter_context,
     datacenter_shape,
 )
-from repro.dse.journal import SummaryOutcome, SummaryResult
 from repro.dse.space import DesignPoint
+from repro.dse.sweep import DesignPointResult, WorkloadOutcome
 from repro.errors import NeuroMeterError
 
 #: Grid fields screened before any point is materialized.
@@ -116,7 +116,7 @@ class BatchResult:
     """
 
     points: Tuple[DesignPoint, ...]
-    summaries: Tuple[Optional[SummaryResult], ...]
+    summaries: Tuple[Optional[DesignPointResult], ...]
     fallback_reasons: Dict[int, str] = field(default_factory=dict)
     errors: Dict[int, BaseException] = field(default_factory=dict)
 
@@ -188,7 +188,7 @@ class BatchEstimator:
                 shape = found
                 members = groups.setdefault(shape, [])
             members.append((index, values))
-        summaries: List[Optional[SummaryResult]] = [None] * len(resolved)
+        summaries: List[Optional[DesignPointResult]] = [None] * len(resolved)
         for shape, members in groups.items():
             self._estimate_shape(
                 shape,
@@ -217,7 +217,7 @@ class BatchEstimator:
         workloads: Tuple[Tuple[str, object], ...],
         batches: Tuple[object, ...],
         latency_slo_ms: Optional[float],
-        summaries: List[Optional[SummaryResult]],
+        summaries: List[Optional[DesignPointResult]],
         reasons: Dict[int, str],
     ) -> None:
         """Evaluate one shape's points; fill ``summaries``/``reasons``.
@@ -277,16 +277,16 @@ class BatchEstimator:
                 misses.append((index, values))
                 continue
             point = resolved[index]
-            # The summary names its point, so the coordinates join the
+            # The row names its point, so the coordinates join the
             # values that set its numbers.
             key = stable_hash(
-                "batch-point",
+                "batch-row",
                 shared,
                 (point.x, point.n, point.tx, point.ty) + values,
             )
             keys[index] = key
             hit, value = cache.get(key)
-            if hit and isinstance(value, SummaryResult):
+            if hit and isinstance(value, DesignPointResult):
                 summaries[index] = value
             else:
                 misses.append((index, values))
@@ -347,13 +347,13 @@ class BatchEstimator:
             elif not ok:
                 reasons[index] = SCREEN_FAILED
             else:
-                summary = SummaryResult(
+                summary = DesignPointResult(
                     point=resolved[index],
                     area_mm2=area[offset],
                     tdp_w=tdp[offset],
                     peak_tops=peak[offset],
                     outcomes=tuple(
-                        SummaryOutcome(
+                        WorkloadOutcome(
                             workload=workload,
                             batch=batch[offset],
                             regime=regime[offset],

@@ -653,7 +653,7 @@ def _dse_surrogate(args: argparse.Namespace, points) -> int:
 def _remote_dse(args: argparse.Namespace, points) -> int:
     """Run the dse table through a ``neurometer serve`` daemon."""
     from repro.dse.engine import PointFailure, PointRecord, SweepReport
-    from repro.dse.journal import SummaryResult
+    from repro.dse.journal import result_from_metrics
 
     payload = _remote_client(args).sweep(
         [[p.x, p.n, p.tx, p.ty] for p in points],
@@ -669,10 +669,9 @@ def _remote_dse(args: argparse.Namespace, points) -> int:
             point=point,
             status=raw["status"],
             result=(
-                SummaryResult.from_metrics(point, metrics)
+                result_from_metrics(point, metrics)
                 if metrics is not None else None
             ),
-            metrics=metrics,
             failure=(
                 PointFailure.from_dict(point, failure)
                 if failure is not None else None

@@ -14,7 +14,7 @@ from repro.dse.engine import (
     SweepReport,
     run_sweep,
 )
-from repro.dse.journal import Journal, JournalEntry, SummaryResult, load_journal
+from repro.dse.journal import Journal, JournalEntry, load_journal
 from repro.dse.pareto import pareto_front
 from repro.dse.edge import edge_design_point, edge_sweep, evaluate_edge_point
 from repro.dse.sparsity_study import sparsity_sweep
@@ -51,7 +51,6 @@ __all__ = [
     "PointRecord",
     "run_sweep",
     "stability_summary",
-    "SummaryResult",
     "sparsity_sweep",
     "sweep",
     "SweepReport",

@@ -70,7 +70,6 @@ from repro.cache.store import _Totals, get_estimate_cache
 from repro.dse.journal import (
     Journal,
     JournalEntry,
-    SummaryResult,
     recipe_digest,
     summarize_result,
 )
@@ -271,16 +270,15 @@ class PointRecord:
 
     ``status`` is ``ok`` (full evaluation), ``degraded`` (peak-only
     metrics salvaged by the retry; ``failure`` holds the original error),
-    or ``failed`` (both attempts exhausted).  ``result`` is a full
-    :class:`~repro.dse.sweep.DesignPointResult` for points evaluated in
-    this run and a :class:`~repro.dse.journal.SummaryResult` for points
-    rehydrated from a resumed journal.
+    or ``failed`` (both attempts exhausted).  ``result`` is the point's
+    :class:`~repro.dse.sweep.DesignPointResult` row, however it was
+    produced (scalar, vector, forked, or rehydrated from a journal);
+    ``metrics`` is that row's JSON form, derived on each read.
     """
 
     point: DesignPoint
     status: str
-    result: Optional[Union[DesignPointResult, SummaryResult]] = None
-    metrics: Optional[dict] = None
+    result: Optional[DesignPointResult] = None
     failure: Optional[PointFailure] = None
     wall_time_s: float = 0.0
     attempt: int = 1
@@ -290,6 +288,14 @@ class PointRecord:
     #: when this point was routed back to the scalar path; ``None`` for
     #: vectorized points and pure-scalar sweeps.
     fallback: Optional[str] = None
+
+    @property
+    def metrics(self) -> Optional[dict]:
+        """The result's :func:`~repro.dse.journal.summarize_result` form
+        (``None`` without a result)."""
+        if self.result is None:
+            return None
+        return summarize_result(self.result)
 
     def journal_entry(self) -> JournalEntry:
         """This record as a journal row, stamped ``source: "exact"``:
@@ -318,7 +324,6 @@ def record_from_journal_entry(entry: JournalEntry) -> PointRecord:
         point=entry.point,
         status=entry.status,
         result=entry.summary_result(),
-        metrics=entry.metrics,
         failure=(
             PointFailure.from_dict(entry.point, entry.failure)
             if entry.failure
@@ -345,9 +350,7 @@ class SweepReport:
     cancelled: bool = False
 
     @property
-    def results(
-        self,
-    ) -> list[Union[DesignPointResult, SummaryResult]]:
+    def results(self) -> list[DesignPointResult]:
         """Usable result rows (ok + degraded), in input-point order."""
         return [r.result for r in self.records if r.result is not None]
 
@@ -434,25 +437,6 @@ def _mp_context() -> mp.context.BaseContext:
         return mp.get_context("spawn")
 
 
-def _failure_payload(error: BaseException, wall_time_s: float) -> dict:
-    import pickle
-
-    carried: Optional[BaseException] = error
-    try:
-        pickle.dumps(error)
-    except Exception:
-        carried = None  # still report type/message/stage, just not the object
-    return {
-        "error_type": type(error).__name__,
-        "message": str(error),
-        "stage": classify_stage(error),
-        "wall_time_s": wall_time_s,
-        "component_path": getattr(error, "component_path", None),
-        "config_digest": getattr(error, "config_digest", None),
-        "exception": carried,
-    }
-
-
 @dataclass(frozen=True)
 class PoolJobConfig:
     """Everything a pool worker needs to evaluate tasks.
@@ -487,49 +471,49 @@ def _run_attempt(task: _Task, config: PoolJobConfig) -> DesignPointResult:
 def _evaluate_one(
     conn: Connection, task: _Task, config: PoolJobConfig
 ) -> None:
-    """Evaluate one task inside a worker; ship the outcome over the pipe."""
+    """Evaluate one task inside a worker; ship the outcome over the pipe.
+
+    The message is ``("result", index, result, failure, error, wall
+    time, cache delta)``: a result row, or the attempt's
+    :class:`PointFailure` built here, as an inline run builds it, with
+    the original exception for a strict parent (``None`` when it does
+    not pickle).  A result that does not pickle is reported as a
+    ``collect`` failure.
+    """
     start = time.perf_counter()
     stats_before = get_estimate_cache().stats.snapshot()
+    result: Optional[DesignPointResult] = None
+    error: Optional[Exception] = None
     try:
         result = _run_attempt(task, config)
-        elapsed = time.perf_counter() - start
-        cache_delta = get_estimate_cache().stats.delta_since(stats_before)
-        payload = ("result", task.index, "ok", result, elapsed, cache_delta)
-    except Exception as error:
-        elapsed = time.perf_counter() - start
-        cache_delta = get_estimate_cache().stats.delta_since(stats_before)
-        payload = (
-            "result",
-            task.index,
-            "error",
-            _failure_payload(error, elapsed),
-            elapsed,
-            cache_delta,
-        )
+    except Exception as raised:
+        error = raised
+    elapsed = time.perf_counter() - start
+    cache_delta = get_estimate_cache().stats.delta_since(stats_before)
+    failure = None if error is None else PointFailure.from_error(
+        task.point, error, wall_time_s=elapsed,
+        attempt=task.attempt, degraded=task.degraded,
+    )
     try:
-        conn.send(payload)
+        conn.send(("result", task.index, result, failure, error, elapsed,
+                   cache_delta))
+        return
     except Exception as send_error:
-        # The result did not pickle; report that instead of dying
-        # silently and being misread as a crash.
-        conn.send(
-            (
-                "result",
-                task.index,
-                "error",
-                {
-                    "error_type": type(send_error).__name__,
-                    "message": (
-                        "result could not be returned from the worker: "
-                        f"{send_error}"
-                    ),
-                    "stage": "collect",
-                    "wall_time_s": elapsed,
-                    "exception": None,
-                },
-                elapsed,
-                cache_delta,
-            )
+        # The result or the exception did not pickle: send the failure
+        # alone rather than die silently and be misread as a crash.
+        failure = failure or PointFailure(
+            point=task.point,
+            stage="collect",
+            error_type=type(send_error).__name__,
+            message=(
+                f"result could not be returned from the worker: {send_error}"
+            ),
+            wall_time_s=elapsed,
+            attempt=task.attempt,
+            degraded=task.degraded,
         )
+    conn.send(("result", task.index, None, failure, None, elapsed,
+               cache_delta))
 
 
 def _arm_parent_death_signal() -> None:
@@ -739,13 +723,11 @@ class _SweepRun:
         workloads: Sequence[tuple[str, Graph]],
         batches: Sequence[object],
         ctx: Optional[ModelContext],
-        jobs: int,
         timeout_s: Optional[float],
         strict: bool,
         retry_degraded: bool,
         validate: bool,
         journal: Optional[Journal],
-        resume: bool,
         latency_slo_ms: float,
         on_record: Optional[Callable[[PointRecord], None]],
         chunk_size: Optional[int] = None,
@@ -755,14 +737,12 @@ class _SweepRun:
         self.workloads = tuple(workloads)
         self.batches = tuple(batches)
         self.ctx = ctx
-        self.jobs = jobs
         self.timeout_s = timeout_s
         self.chunk_size = chunk_size
         self.strict = strict
         self.retry_degraded = retry_degraded and not strict
         self.validate = validate
         self.journal = journal
-        self.resume = resume
         self.latency_slo_ms = latency_slo_ms
         self.on_record = on_record
         self.should_abort = should_abort
@@ -805,7 +785,6 @@ class _SweepRun:
                 point=task.point,
                 status=status,
                 result=result,
-                metrics=summarize_result(result),
                 failure=task.first_failure,
                 wall_time_s=wall_time_s,
                 attempt=task.attempt,
@@ -1050,23 +1029,20 @@ class _SweepRun:
             worker.pending.clear()
             worker.busy = False
             return True
-        _kind, index, status, payload, wall_time_s, cache_delta = message
+        _kind, index, result, failure, error, wall_time_s, cache_delta = (
+            message
+        )
         if not worker.pending or worker.pending[0].index != index:
             # Protocol desync (should not happen); drop the worker.
             return self._pool_crash(worker, tasks)
         task = worker.pending.popleft()
         worker.started = time.monotonic()  # next point's clock starts now
-        if status == "ok":
-            self._success(task, payload, wall_time_s, cache=cache_delta)
+        if failure is None:
+            self._success(task, result, wall_time_s, cache=cache_delta)
             return True
-        failure = PointFailure.from_dict(
-            task.point,
-            {**payload, "attempt": task.attempt, "degraded": task.degraded},
-        )
         if self.strict:
-            original = payload.get("exception")
-            if isinstance(original, BaseException):
-                raise original
+            if error is not None:
+                raise error
             raise NeuroMeterError(failure.describe())
         retry = self._failure(task, failure, cache=cache_delta)
         if retry is not None:
@@ -1255,13 +1231,11 @@ def run_sweep(
         workloads=workloads,
         batches=batches,
         ctx=ctx,
-        jobs=jobs,
         timeout_s=timeout_s,
         strict=strict,
         retry_degraded=retry_degraded,
         validate=validate,
         journal=journal,
-        resume=resume,
         latency_slo_ms=latency_slo_ms,
         on_record=on_record,
         chunk_size=chunk_size,

@@ -5,10 +5,11 @@ The engine appends one self-contained JSON line per *finished* point —
 success, degraded success, or structured failure — flushing after every
 line so a SIGKILL loses at most the point in flight.  On ``resume`` the
 journal is read back, finished points are skipped, and their metrics are
-rehydrated into lightweight :class:`SummaryResult` rows that expose the
-same metric surface as a freshly-evaluated
-:class:`~repro.dse.sweep.DesignPointResult` (minus the estimate tree,
-which is not serialized).
+rehydrated by :func:`result_from_metrics` into the same
+:class:`~repro.dse.sweep.DesignPointResult` rows a fresh evaluation
+gives (minus the estimate tree, which is not serialized).
+:func:`summarize_result` is a row's one JSON form, for journals and the
+daemon's wire alike.
 
 Journal format (one JSON object per line)::
 
@@ -36,19 +37,14 @@ import os
 import threading
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.arch.component import ModelContext
 from repro.cache.keys import short_hash
 from repro.config.presets import datacenter_context
-from repro.dse.metrics import (
-    arithmetic_mean,
-    positive_geomean,
-    tops_per_tco,
-    tops_per_watt,
-)
 from repro.dse.space import DesignPoint
+from repro.dse.sweep import DesignPointResult, WorkloadOutcome
 from repro.errors import ConfigurationError
 from repro.perf.graph import Graph
 from repro.perf.optimizations import OptimizationConfig
@@ -128,12 +124,12 @@ def check_stamps(
     return meta
 
 
-def summarize_result(result: Any) -> dict:
-    """Flatten a DesignPointResult into the JSON-serializable metrics dict.
+def summarize_result(result: DesignPointResult) -> dict:
+    """Flatten a result row into its JSON form, the metrics dict.
 
-    Enough is kept to reproduce every Fig. 8 / Fig. 10 table row — chip
-    numbers, peak efficiencies, and per-outcome runtime metrics — without
-    serializing the estimate tree.
+    The one serialized form of a row, for journals and the wire: chip
+    numbers, peak efficiencies, and per-outcome runtime metrics, without
+    the estimate tree.  :func:`result_from_metrics` inverts it.
     """
     return {
         "area_mm2": result.area_mm2,
@@ -149,114 +145,41 @@ def summarize_result(result: Any) -> dict:
                 "achieved_tops": o.achieved_tops,
                 "utilization": o.utilization,
                 "runtime_power_w": o.runtime_power_w,
-                "latency_ms": (
-                    o.result.latency_ms
-                    if getattr(o, "result", None) is not None
-                    else getattr(o, "latency_ms", None)
-                ),
+                "latency_ms": o.latency_ms,
             }
             for o in result.outcomes
         ],
     }
 
 
-@dataclass(frozen=True)
-class SummaryOutcome:
-    """A journal-rehydrated workload outcome (no SimulationResult)."""
+def result_from_metrics(
+    point: DesignPoint, metrics: dict
+) -> DesignPointResult:
+    """Rebuild a result row from its :func:`summarize_result` form.
 
-    workload: str
-    batch: int
-    regime: str
-    achieved_tops: float
-    utilization: float
-    runtime_power_w: float
-    latency_ms: Optional[float] = None
-
-    @property
-    def energy_efficiency(self) -> float:
-        return tops_per_watt(self.achieved_tops, self.runtime_power_w)
-
-
-@dataclass(frozen=True)
-class SummaryResult:
-    """A design-point result rebuilt from journal metrics.
-
-    Mirrors the metric surface of
-    :class:`~repro.dse.sweep.DesignPointResult` — chip numbers, peak
-    efficiencies, and the per-batch mean metrics — so rankings, tables,
-    and optimizers work identically on resumed and fresh rows.  The
-    estimate breakdown is not journaled; ``estimate`` is ``None``.
+    The inverse of :func:`summarize_result`: a row this program wrote
+    comes back equal field for field, without its estimate tree.  An
+    outcome written before ``latency_ms`` was recorded comes back with
+    ``None``.
     """
-
-    point: DesignPoint
-    area_mm2: float
-    tdp_w: float
-    peak_tops: float
-    outcomes: tuple[SummaryOutcome, ...] = field(default_factory=tuple)
-    estimate: None = None
-
-    @property
-    def peak_tops_per_watt(self) -> float:
-        return tops_per_watt(self.peak_tops, self.tdp_w)
-
-    @property
-    def peak_tops_per_tco(self) -> float:
-        return tops_per_tco(self.peak_tops, self.area_mm2, self.tdp_w)
-
-    def _at_batch(self, batch: Optional[object]) -> list[SummaryOutcome]:
-        if batch is None:
-            return list(self.outcomes)
-        regime = batch if batch == "latency-bound" else f"bs={batch}"
-        return [o for o in self.outcomes if o.regime == regime]
-
-    def mean_achieved_tops(self, batch: Optional[int] = None) -> float:
-        return arithmetic_mean(
-            [o.achieved_tops for o in self._at_batch(batch)]
-        )
-
-    def mean_utilization(self, batch: Optional[int] = None) -> float:
-        return positive_geomean(
-            [o.utilization for o in self._at_batch(batch)],
-            field="utilization",
-        )
-
-    def mean_energy_efficiency(self, batch: Optional[int] = None) -> float:
-        return positive_geomean(
-            [o.energy_efficiency for o in self._at_batch(batch)],
-            field="energy_efficiency",
-        )
-
-    def mean_cost_efficiency(self, batch: Optional[int] = None) -> float:
-        return positive_geomean(
-            [
-                tops_per_tco(
-                    o.achieved_tops, self.area_mm2, o.runtime_power_w
-                )
-                for o in self._at_batch(batch)
-            ],
-            field="cost_efficiency",
-        )
-
-    @classmethod
-    def from_metrics(cls, point: DesignPoint, metrics: dict) -> "SummaryResult":
-        return cls(
-            point=point,
-            area_mm2=metrics["area_mm2"],
-            tdp_w=metrics["tdp_w"],
-            peak_tops=metrics["peak_tops"],
-            outcomes=tuple(
-                SummaryOutcome(
-                    workload=o["workload"],
-                    batch=o["batch"],
-                    regime=o["regime"],
-                    achieved_tops=o["achieved_tops"],
-                    utilization=o["utilization"],
-                    runtime_power_w=o["runtime_power_w"],
-                    latency_ms=o.get("latency_ms"),
-                )
-                for o in metrics.get("outcomes", ())
-            ),
-        )
+    return DesignPointResult(
+        point=point,
+        area_mm2=metrics["area_mm2"],
+        tdp_w=metrics["tdp_w"],
+        peak_tops=metrics["peak_tops"],
+        outcomes=tuple(
+            WorkloadOutcome(
+                workload=o["workload"],
+                batch=o["batch"],
+                regime=o["regime"],
+                achieved_tops=o["achieved_tops"],
+                utilization=o["utilization"],
+                runtime_power_w=o["runtime_power_w"],
+                latency_ms=o.get("latency_ms"),
+            )
+            for o in metrics.get("outcomes", ())
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -330,11 +253,11 @@ class JournalEntry:
             source=payload.get("source"),
         )
 
-    def summary_result(self) -> Optional[SummaryResult]:
+    def summary_result(self) -> Optional[DesignPointResult]:
         """Rehydrate the metrics into a result row (``None`` if failed)."""
         if self.metrics is None:
             return None
-        return SummaryResult.from_metrics(self.point, self.metrics)
+        return result_from_metrics(self.point, self.metrics)
 
 
 class AppendLog:
@@ -539,11 +462,6 @@ def journal_header(path: str | os.PathLike) -> Optional[dict]:
     if isinstance(payload, dict) and payload.get("kind") == "header":
         return payload
     return None
-
-
-def _repair_tail(path: str) -> None:
-    """:func:`repair_tail` with the sweep journal's own validator."""
-    repair_tail(path)
 
 
 def repair_tail(path: str | os.PathLike, is_damaged=None) -> int:

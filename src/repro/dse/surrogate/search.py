@@ -740,7 +740,7 @@ def surrogate_search(
                     failures.append(record.failure)
             else:
                 evaluated[record.point] = entry_row
-            if record.metrics is not None:
+            if record.result is not None:
                 training_entries.append(record.journal_entry())
         if report.cancelled:
             cancelled = True

@@ -5,12 +5,17 @@ and TDP (with breakdowns), peak TOPS and peak efficiencies, and — per
 batch-size regime — the workload-averaged achieved TOPS, TU utilization,
 energy efficiency (TOPS/Watt on *runtime* power), and cost efficiency
 (TOPS/TCO).
+
+A row (:class:`DesignPointResult`) holds numbers, not the simulator's
+per-layer records, so every path builds the same type: a fresh scalar
+evaluation, the vector backend, a forked worker, a journal resume and
+a remote sweep.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.arch.component import Estimate, ModelContext
@@ -23,11 +28,7 @@ from repro.dse.metrics import (
 )
 from repro.dse.space import DesignPoint
 from repro.perf.graph import Graph
-from repro.perf.simulator import (
-    DEFAULT_LATENCY_SLO_MS,
-    SimulationResult,
-    Simulator,
-)
+from repro.perf.simulator import DEFAULT_LATENCY_SLO_MS, Simulator
 from repro.power.runtime import runtime_power
 
 
@@ -37,44 +38,45 @@ class WorkloadOutcome:
 
     ``regime`` is the batch *specification* ("bs=1", "latency-bound",
     "bs=256"); ``batch`` is the resolved batch size actually simulated.
+    ``latency_ms`` is ``None`` only on journal rows written before it
+    was recorded.
     """
 
     workload: str
     batch: int
     regime: str
-    result: SimulationResult
+    achieved_tops: float
+    utilization: float
     runtime_power_w: float
-
-    @property
-    def achieved_tops(self) -> float:
-        return self.result.achieved_tops
-
-    @property
-    def utilization(self) -> float:
-        return self.result.utilization
+    latency_ms: Optional[float]
 
     @property
     def energy_efficiency(self) -> float:
-        return tops_per_watt(self.result.achieved_tops, self.runtime_power_w)
+        return tops_per_watt(self.achieved_tops, self.runtime_power_w)
 
 
 @dataclass(frozen=True)
 class DesignPointResult:
     """Everything the study needs to know about one design point.
 
+    The one result row of every path: scalar, vectorized, pooled,
+    journal-rehydrated and remote.  Its JSON form is
+    :func:`repro.dse.journal.summarize_result`.
+
     Attributes:
         point: The (X, N, Tx, Ty) tuple.
         area_mm2 / tdp_w / peak_tops: Chip-level numbers (Fig. 8).
-        estimate: Full breakdown tree.
-        outcomes: Per-(workload, batch) simulation outcomes (Fig. 10).
+        outcomes: Per-(workload, batch) outcomes (Fig. 10).
+        estimate: Full breakdown tree on a fresh scalar evaluation;
+            ``None`` on every other row (it is not serialized).
     """
 
     point: DesignPoint
     area_mm2: float
     tdp_w: float
     peak_tops: float
-    estimate: Estimate
-    outcomes: tuple[WorkloadOutcome, ...] = field(default_factory=tuple)
+    outcomes: tuple[WorkloadOutcome, ...] = ()
+    estimate: Optional[Estimate] = None
 
     # -- peak (Fig. 8) metrics ---------------------------------------------------
 
@@ -209,8 +211,10 @@ def evaluate_point(
                         workload=name,
                         batch=batch,
                         regime=regime,
-                        result=result,
+                        achieved_tops=result.achieved_tops,
+                        utilization=result.utilization,
                         runtime_power_w=power,
+                        latency_ms=result.latency_ms,
                     )
                 )
     return DesignPointResult(
@@ -218,8 +222,8 @@ def evaluate_point(
         area_mm2=estimate.area_mm2,
         tdp_w=tdp_w,
         peak_tops=peak_tops,
-        estimate=estimate,
         outcomes=tuple(outcomes),
+        estimate=estimate,
     )
 
 

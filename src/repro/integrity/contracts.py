@@ -132,14 +132,7 @@ def validate_result(result: "DesignPointResult") -> "DesignPointResult":
         achieved = outcome.achieved_tops
         utilization = outcome.utilization
         power = outcome.runtime_power_w
-        # Fresh outcomes carry a SimulationResult; journal/vector rows
-        # carry latency_ms directly (possibly None on pre-upgrade rows).
-        sim = getattr(outcome, "result", None)
-        latency_ms = (
-            sim.latency_ms
-            if sim is not None
-            else getattr(outcome, "latency_ms", None)
-        )
+        latency_ms = outcome.latency_ms  # None on pre-upgrade journal rows
         if (
             type(achieved) is float and type(utilization) is float
             and type(power) is float

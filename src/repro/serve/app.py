@@ -37,7 +37,6 @@ from typing import Optional, Sequence
 from repro.arch.component import ModelContext
 from repro.config.presets import DATACENTER_FREQ_GHZ, DATACENTER_TECH_NM
 from repro.dse.engine import SweepReport, WorkerPool, run_sweep
-from repro.dse.journal import summarize_result
 from repro.dse.space import DesignPoint
 from repro.errors import (
     ConfigurationError,
@@ -179,11 +178,7 @@ def _record_payload(record) -> dict:
         "from_journal": record.from_journal,
     }
     if record.result is not None:
-        payload["metrics"] = (
-            record.metrics
-            if record.metrics is not None
-            else summarize_result(record.result)
-        )
+        payload["metrics"] = record.metrics
     if record.failure is not None:
         failure = record.failure
         payload["failure"] = {

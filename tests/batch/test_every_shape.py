@@ -145,7 +145,7 @@ def test_each_shape_simulates_like_the_scalar_path(label, chip, ctx):
             assert got.achieved_tops == want.achieved_tops, label
             assert got.utilization == want.utilization, label
             assert got.runtime_power_w == want.runtime_power_w, label
-            assert got.latency_ms == want.result.latency_ms, label
+            assert got.latency_ms == want.latency_ms, label
 
 
 # -- points the model rejects after their build -------------------------------

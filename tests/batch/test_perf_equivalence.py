@@ -42,7 +42,7 @@ def _assert_outcomes_bit_exact(summary, reference, point):
         assert got.achieved_tops == want.achieved_tops, point
         assert got.utilization == want.utilization, point
         assert got.runtime_power_w == want.runtime_power_w, point
-        assert got.latency_ms == want.result.latency_ms, point
+        assert got.latency_ms == want.latency_ms, point
 
 
 def test_full_grid_workload_sim_is_bit_exact_with_scalar():

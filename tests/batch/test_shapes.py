@@ -69,7 +69,7 @@ def _assert_bit_exact_with_scalar(points) -> None:
             assert got.achieved_tops == want.achieved_tops, point
             assert got.utilization == want.utilization, point
             assert got.runtime_power_w == want.runtime_power_w, point
-            assert got.latency_ms == want.result.latency_ms, point
+            assert got.latency_ms == want.latency_ms, point
 
 
 def test_mem_capacity_variant_vectorizes_bit_exact():

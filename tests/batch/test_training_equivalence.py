@@ -77,4 +77,4 @@ def test_training_workload_sim_is_bit_exact_with_scalar():
             assert got.achieved_tops == want.achieved_tops
             assert got.utilization == want.utilization
             assert got.runtime_power_w == want.runtime_power_w
-            assert got.latency_ms == want.result.latency_ms
+            assert got.latency_ms == want.latency_ms

@@ -125,4 +125,4 @@ def test_random_mixed_family_subsets_simulate_identically(points):
             assert got.achieved_tops == want.achieved_tops
             assert got.utilization == want.utilization
             assert got.runtime_power_w == want.runtime_power_w
-            assert got.latency_ms == want.result.latency_ms
+            assert got.latency_ms == want.latency_ms

@@ -24,8 +24,6 @@ from repro.dse.engine import (
 from repro.dse.journal import (
     Journal,
     JournalEntry,
-    SummaryOutcome,
-    SummaryResult,
     load_journal,
     summarize_result,
 )
@@ -47,14 +45,6 @@ BAD = DesignPoint(4, 1, 1, 1)
 WORKLOADS = [("fake", None)]
 
 
-class _FakeSim:
-    """Duck-typed SimulationResult stub (picklable at module scope)."""
-
-    achieved_tops = 10.0
-    utilization = 0.5
-    latency_ms = 1.0
-
-
 def _fake_result(
     point: DesignPoint,
     with_outcomes: bool = False,
@@ -63,15 +53,15 @@ def _fake_result(
 ) -> DesignPointResult:
     outcomes = ()
     if with_outcomes:
-        sim = _FakeSim()
-        sim.utilization = utilization
         outcomes = (
             WorkloadOutcome(
                 workload="fake",
                 batch=1,
                 regime="bs=1",
-                result=sim,
+                achieved_tops=10.0,
+                utilization=utilization,
                 runtime_power_w=80.0,
+                latency_ms=1.0,
             ),
         )
     return DesignPointResult(
@@ -305,9 +295,9 @@ def test_validate_result_names_the_failing_outcome(change, field, reason):
     )
 
 
-def _summary_with(**change) -> SummaryResult:
+def _summary_with(**change) -> DesignPointResult:
     """Four clean outcomes, the third one changed."""
-    clean = SummaryOutcome(
+    clean = WorkloadOutcome(
         workload="fake",
         batch=1,
         regime="bs=1",
@@ -316,7 +306,7 @@ def _summary_with(**change) -> SummaryResult:
         runtime_power_w=80.0,
         latency_ms=1.0,
     )
-    return SummaryResult(
+    return DesignPointResult(
         point=GOOD,
         area_mm2=300.0,
         tdp_w=100.0,
@@ -391,7 +381,7 @@ def test_resume_skips_finished_points(monkeypatch, tmp_path):
     assert [r.status for r in report.records] == ["ok", "degraded", "ok"]
     resumed = report.record_for(GOOD)
     assert resumed.from_journal
-    assert isinstance(resumed.result, SummaryResult)
+    assert isinstance(resumed.result, DesignPointResult)
     assert resumed.result.area_mm2 == 300.0
     assert resumed.result.mean_utilization(1) == pytest.approx(0.5)
     # The degraded point's original failure survives the round trip.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,24 @@ def test_chunk_survives_crash_of_one_point(monkeypatch):
     assert record.status == "failed"
     assert record.failure.error_type == "WorkerCrash"
     assert "exit code 13" in record.failure.message
+    others = [r for r in report.records if r.point != BAD]
+    assert all(r.status == "ok" for r in others)
+
+
+def test_result_that_does_not_pickle_fails_at_collect(monkeypatch):
+    def fake(point, workloads=(), batches=(), ctx=None, slo=10.0):
+        result = _pid_result(point)
+        if point == BAD:
+            return replace(result, estimate=lambda: None)  # unpicklable
+        return result
+
+    _patch(monkeypatch, fake)
+    report = run_sweep(POINTS, jobs=2, retry_degraded=False)
+    record = report.record_for(BAD)
+    assert record.status == "failed"
+    assert record.result is None
+    assert record.failure.stage == "collect"
+    assert "could not be returned from the worker" in record.failure.message
     others = [r for r in report.records if r.point != BAD]
     assert all(r.status == "ok" for r in others)
 

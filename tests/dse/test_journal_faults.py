@@ -17,7 +17,6 @@ from repro.dse import journal as journal_module
 from repro.dse.journal import (
     Journal,
     JournalEntry,
-    _repair_tail,
     load_journal,
     repair_tail,
 )
@@ -163,7 +162,7 @@ def test_repair_tail_keeps_undamaged_files_byte_identical(tmp_path):
     path = tmp_path / "sweep.jsonl"
     _write_journal(path, [_entry(8), _entry(16)])
     before = path.read_bytes()
-    _repair_tail(str(path))
+    repair_tail(path)
     assert path.read_bytes() == before
 
 
@@ -171,7 +170,7 @@ def test_repair_tail_terminates_a_valid_unterminated_line(tmp_path):
     path = tmp_path / "sweep.jsonl"
     _write_journal(path, [_entry(8)])
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
-    _repair_tail(str(path))
+    repair_tail(path)
     assert path.read_bytes().endswith(b"\n")
     assert [e.point.x for e in load_journal(path)] == [8]
 

@@ -42,20 +42,16 @@ DEGRADES = DesignPoint(32, 1, 2, 2)
 FAILS = DesignPoint(8, 1, 2, 2)
 
 
-class _Sim:
-    achieved_tops = 10.0
-    utilization = 0.5
-    latency_ms = 1.0
-
-
 def _result(point, workloads=()) -> DesignPointResult:
     outcomes = tuple(
         WorkloadOutcome(
             workload=name,
             batch=1,
             regime="bs=1",
-            result=_Sim(),
+            achieved_tops=10.0,
+            utilization=0.5,
             runtime_power_w=80.0,
+            latency_ms=1.0,
         )
         for name, _ in workloads
     )

@@ -147,10 +147,10 @@ class TestPositiveGeomean:
 
     def test_summary_result_surfaces_zero_utilization(self):
         """A journaled zero-utilization outcome raises, never clamps."""
-        from repro.dse.journal import SummaryResult
+        from repro.dse.journal import result_from_metrics
         from repro.errors import NumericalError
 
-        result = SummaryResult.from_metrics(
+        result = result_from_metrics(
             DesignPoint(32, 4, 2, 2),
             {
                 "area_mm2": 100.0,

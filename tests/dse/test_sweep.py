@@ -52,7 +52,7 @@ def test_latency_bound_batch_spec(resnet):
         DesignPoint(64, 2, 2, 4), resnet, ["latency-bound"]
     )
     outcome = result.outcomes[0]
-    assert outcome.result.latency_ms <= 10.0 + 1e-6
+    assert outcome.latency_ms <= 10.0 + 1e-6
     assert outcome.batch >= 1
 
 

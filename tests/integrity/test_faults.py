@@ -10,6 +10,7 @@ structured ``PointFailure`` records instead of dying.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -239,17 +240,24 @@ def test_engine_forked_workers_carry_the_path_across_the_pipe():
     plan = FaultPlan(
         specs=(FaultSpec(target="", kind=FaultKind.NAN, max_hits=0),)
     )
+    points = [DesignPoint(8, 1, 1, 1), DesignPoint(16, 1, 1, 1)]
+    with fault_injection(plan):
+        inline = run_sweep(points, retry_degraded=False, warm_cache=False)
     with fault_injection(plan):
         report = run_sweep(
-            [DesignPoint(8, 1, 1, 1), DesignPoint(16, 1, 1, 1)],
+            points,
             jobs=2,
             retry_degraded=False,
             warm_cache=False,
         )
-    for record in report.records:
+    for record, want in zip(report.records, inline.records):
         assert record.status == "failed"
         assert record.failure.error_type == "NumericalError"
         assert record.failure.component_path is not None
+        # The worker builds the failure as an inline run does.
+        assert replace(record.failure, wall_time_s=0.0) == replace(
+            want.failure, wall_time_s=0.0
+        )
 
 
 def test_strict_engine_reraises_the_original_numerical_error():

@@ -126,12 +126,6 @@ def test_floorplan_command(capsys):
     assert "cores" in out
 
 
-class _FakeSim:
-    achieved_tops = 10.0
-    utilization = 0.5
-    latency_ms = 1.0
-
-
 def _fake_evaluate(point, workloads=(), batches=(), ctx=None, slo=10.0):
     """Cheap evaluate_point stand-in for engine-flag tests."""
     if point == DesignPoint(4, 1, 1, 1) and workloads:
@@ -141,8 +135,10 @@ def _fake_evaluate(point, workloads=(), batches=(), ctx=None, slo=10.0):
             workload=name,
             batch=1,
             regime="bs=1",
-            result=_FakeSim(),
+            achieved_tops=10.0,
+            utilization=0.5,
             runtime_power_w=80.0,
+            latency_ms=1.0,
         )
         for name, _graph in workloads
     )

@@ -123,14 +123,26 @@ def test_invariant_violation_keeps_its_violation_lines():
     assert "tdp-consistency" in revived.violations[0]
 
 
-def test_failure_payload_carries_a_picklable_exception():
-    from repro.dse.engine import _failure_payload
+def test_failure_payload_carries_a_picklable_exception(monkeypatch):
+    import multiprocessing as mp
 
-    payload = _failure_payload(EXEMPLARS[NumericalError](), 0.25)
-    revived = pickle.loads(pickle.dumps(payload))
-    assert isinstance(revived["exception"], NumericalError)
-    assert revived["component_path"] == "chip.core.tensor_unit"
-    assert revived["config_digest"] == "deadbeefdeadbeef"
+    import repro.dse.engine as engine_mod
+    from repro.dse.space import DesignPoint
+
+    def fail(*args):
+        raise EXEMPLARS[NumericalError]()
+
+    monkeypatch.setattr(engine_mod, "evaluate_point", fail)
+    parent, child = mp.Pipe()
+    task = engine_mod._Task(index=3, point=DesignPoint(16, 1, 2, 2))
+    engine_mod._evaluate_one(child, task, engine_mod.PoolJobConfig())
+    _kind, index, result, failure, revived, _wall, _cache = parent.recv()
+    assert (index, result) == (3, None)
+    assert isinstance(revived, NumericalError)
+    assert failure.point == task.point
+    assert failure.error_type == "NumericalError"
+    assert failure.component_path == "chip.core.tensor_unit"
+    assert failure.config_digest == "deadbeefdeadbeef"
 
 
 def test_every_public_error_is_exported():
