@@ -3,17 +3,16 @@
 The scalar path evaluates workloads one design point at a time: build the
 chip, derive the :class:`~repro.perf.mapping.ArchView`, run
 :meth:`~repro.perf.simulator.Simulator.run`, then combine the activity
-factors in :func:`~repro.power.runtime.runtime_power`.  The cycle
-simulation — the GEMM mapper and the layer walk — is written once, over
-an array namespace: this module runs the same
-:func:`~repro.perf.simulator.walk_graph` over NumPy arrays of *all*
-points of a sweep (:meth:`~repro.perf.mapping.ArchView.derive`), so the
-two backends agree by construction.  Integer intermediates stay below
-2**53 on the Table I workloads, so float64 holds every count exactly.
+factors in :func:`~repro.power.runtime.runtime_power`.  This module runs
+the one cycle walk, :func:`~repro.perf.simulator.walk_graph`, over NumPy
+arrays of *all* points of a sweep
+(:meth:`~repro.perf.mapping.ArchView.derive`); ``Simulator.run`` runs it
+over a grid of one, so the two backends agree by construction.  Every
+count is an integer-valued float64, and the walk refuses a workload
+whose counts reach 2**53, where float64 would start to round.
 
-The per-layer loop stays a Python loop (a graph has tens of layers); the
-per-*point* dimension — the axis that grows with sweep size — is fully
-vectorized, and so is a second, leading axis of batch sizes: every op is
+The walk's leading axis is the layers, in blocks of whole GEMM groups;
+the points form the last axis, and batch sizes a second one: every op is
 elementwise, so one pass over a ``(rows, points)`` batch array simulates
 all of a sweep's batch regimes, including every candidate of the
 latency-bound search, at once.
@@ -142,7 +141,7 @@ def simulate_workloads(
     shape = sizes.shape + points
     runs = []
     for _, spec in specs:
-        run = walk_graph(spec, arch, stacked, opt, np)
+        run = walk_graph(spec, arch, stacked, opt)
         run["latency_ms"] = run["latency_s"] * 1e3
         runs.append(run)
 

@@ -483,6 +483,12 @@ def _write_merged_journal(manifest, outcome, path: str) -> None:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
+    if args.expanded_space and args.strategy != "surrogate":
+        # Only the surrogate search navigates the expanded space; the
+        # exhaustive strategy would evaluate its point list instead.
+        raise NeuroMeterError(
+            "--expanded-space needs --strategy surrogate"
+        )
     points = [
         DesignPoint(8, 4, 4, 8),
         DesignPoint(16, 4, 4, 4),

@@ -13,9 +13,10 @@ consumes.
 
 Both dataflows are written once, over an array namespace ``xp``
 (:func:`map_gemm_dims`).  :func:`map_gemm` maps one GEMM onto one chip
-over Python numbers (:mod:`repro.perf.scalar`); the vector backend
-passes NumPy and an :meth:`ArchView.derive` view over arrays, mapping a
-layer onto every design point of a sweep at once.
+over Python numbers (:mod:`repro.perf.scalar`); the layer walk passes
+NumPy and maps a block of GEMM layers onto every design point of a
+sweep (or the one chip of :class:`~repro.perf.simulator.Simulator`) at
+once.
 """
 
 from __future__ import annotations
@@ -211,38 +212,66 @@ def _weight_stationary(m, k, n, arch, opt, xp) -> GemmMapping:
         xp.minimum(xp.ceil(arch.tus / n_tiles), xp.ceil(m / fill_drain)),
         1,
     )
-    n_parallel = n_tiles * chunks_per_tile
-    k_parallel = xp.where(
-        n_parallel >= arch.tus,
-        1,
-        xp.minimum(k_tiles, xp.ceil(arch.tus / n_parallel)),
+    k_parallel = _k_parallel(
+        n_tiles * chunks_per_tile, k_tiles, arch.tus, xp
     )
-    total_passes = tiles * chunks_per_tile
-    m_part = xp.ceil(m / chunks_per_tile)
 
     # Back-to-back tile streaming: with double buffering the drain of one
     # pass overlaps the fill of the next, so the fill/drain is paid once
     # per TU work chain instead of once per pass, and the next tile's
     # weights (one row per cycle) load behind the current pass.
     weight_load = 0 if opt.double_buffering else rows
-    per_pass = m_part + weight_load + opt.tile_overhead_cycles
-    if not opt.double_buffering:
-        per_pass = per_pass + fill_drain
-    rounds = xp.ceil(total_passes / arch.tus)
-    compute_cycles = rounds * per_pass + fill_drain
+    per_pass = _pass_cycles(
+        xp.ceil(m / chunks_per_tile) + weight_load, fill_drain, opt
+    )
+    compute_cycles, occupied = _schedule(
+        tiles * chunks_per_tile, per_pass, fill_drain, arch, xp
+    )
 
     # Partial-sum merging on the vector path: only K chains split across
     # TUs need merging; same-TU chains accumulate in place.
     merge_ops = m * n * (k_parallel - 1)
 
-    # Inter-core traffic.  The scheduler prefers data parallelism: when M
-    # is deep enough to give every core its own row slice, activations
-    # stay core-local and partial sums merge inside the core.  Only the
-    # residue of cores that must share rows (model parallelism) pays
-    # broadcast and cross-core partial-sum traffic.
-    m_parallelism = xp.maximum(1, xp.floor_divide(m, fill_drain))
-    data_parallel_cores = xp.minimum(arch.cores, m_parallelism)
-    cross_fraction = (arch.cores - data_parallel_cores) / arch.cores
+    # On-chip traffic: activations re-read once per reuse window of N
+    # tiles (intra-core multicast feeds TUs sharing a K slice); outputs
+    # written once, plus the cross-TU merge residue.
+    merge_spill = m * n * _PSUM_BYTES * xp.maximum(k_parallel - 1, 0)
+    mem_reads = xp.ceil(
+        _activation_reads(m, k, n_tiles, opt, xp) + k * n + merge_spill
+    )
+    mem_writes = xp.ceil(m * n + merge_spill)
+
+    return GemmMapping(
+        compute_cycles=compute_cycles,
+        useful_macs=m * k * n,
+        occupied_mac_cycles=occupied,
+        merge_vector_ops=merge_ops,
+        mem_read_bytes=mem_reads,
+        mem_write_bytes=mem_writes,
+        noc_bytes=_weight_stationary_noc(
+            m, k, n, k_parallel, chunks_per_tile, fill_drain, arch, xp
+        ),
+        weight_bytes=k * n,
+        tiles=tiles,
+        k_tiles=k_tiles,
+    )
+
+
+def _k_parallel(n_parallel, k_tiles, tus, xp):
+    """TUs each K chain splits across: one, unless N tiles and M chunks
+    leave TUs idle."""
+    return xp.where(
+        n_parallel >= tus, 1, xp.minimum(k_tiles, xp.ceil(tus / n_parallel))
+    )
+
+
+def _weight_stationary_noc(
+    m, k, n, k_parallel, chunks_per_tile, fill_drain, arch, xp
+):
+    """Inter-core bytes of the weight-stationary schedule: partial sums
+    of K chains split across cores, activation broadcast, and weight
+    replicas."""
+    cross_fraction = _cross_fraction(m, fill_drain, arch, xp)
     # Fractional core shares round *up*: a byte partially crossing the
     # NoC still occupies a flit, and truncation systematically
     # undercounted traffic (skewing bound attribution wimpy-ward).
@@ -251,32 +280,10 @@ def _weight_stationary(m, k, n, arch, opt, xp) -> GemmMapping:
     # every replica beyond the first crosses the NoC.  This is the
     # brawny-multicore weight-broadcast pressure the paper attributes
     # to "longer and more power-hungry inter-core NoC".
-    weight_replicas = xp.minimum(chunks_per_tile, arch.cores)
-    broadcast_noc = xp.ceil(m * k * cross_fraction) + k * n * xp.maximum(
-        weight_replicas - 1, 0
+    broadcast_noc = _broadcast_noc(
+        m, k, n, cross_fraction, xp.minimum(chunks_per_tile, arch.cores), xp
     )
-
-    # On-chip traffic: activations re-read once per reuse window of N
-    # tiles (intra-core multicast feeds TUs sharing a K slice); outputs
-    # written once, plus the cross-TU merge residue.
-    reuse = xp.maximum(1, xp.minimum(n_tiles, opt.activation_reuse_tiles))
-    act_reads = m * k * xp.ceil(n_tiles / reuse)
-    merge_spill = m * n * _PSUM_BYTES * xp.maximum(k_parallel - 1, 0)
-    mem_reads = act_reads + k * n + merge_spill
-    mem_writes = m * n + merge_spill
-
-    return GemmMapping(
-        compute_cycles=compute_cycles,
-        useful_macs=m * k * n,
-        occupied_mac_cycles=total_passes * per_pass * rows * cols,
-        merge_vector_ops=merge_ops,
-        mem_read_bytes=xp.ceil(mem_reads),
-        mem_write_bytes=xp.ceil(mem_writes),
-        noc_bytes=xp.where(arch.multi, psum_noc + broadcast_noc, 0),
-        weight_bytes=k * n,
-        tiles=tiles,
-        k_tiles=k_tiles,
-    )
+    return xp.where(arch.multi, psum_noc + broadcast_noc, 0)
 
 
 def _output_stationary(m, k, n, arch, opt, xp) -> GemmMapping:
@@ -294,32 +301,27 @@ def _output_stationary(m, k, n, arch, opt, xp) -> GemmMapping:
     passes = m_tiles * n_tiles
 
     fill_drain = rows + cols
-    per_pass = k + opt.tile_overhead_cycles
-    if not opt.double_buffering:
-        per_pass = per_pass + fill_drain  # output drain stalls the next pass
-    rounds = xp.ceil(passes / arch.tus)
-    compute_cycles = rounds * per_pass + fill_drain
+    # Without double buffering the output drain stalls the next pass.
+    per_pass = _pass_cycles(k, fill_drain, opt)
+    compute_cycles, occupied = _schedule(
+        passes, per_pass, fill_drain, arch, xp
+    )
 
     # Operand traffic: each output tile streams its operand panels; the
     # reuse window caches a panel across consecutive tiles.
-    reuse = xp.maximum(1, xp.minimum(n_tiles, opt.activation_reuse_tiles))
-    a_reads = m * k * xp.ceil(n_tiles / reuse)
+    a_reads = _activation_reads(m, k, n_tiles, opt, xp)
     b_reads = k * n * m_tiles
     mem_reads = a_reads + b_reads
     mem_writes = m * n
 
-    m_parallelism = xp.maximum(1, xp.floor_divide(m, fill_drain))
-    data_parallel_cores = xp.minimum(arch.cores, m_parallelism)
-    cross_fraction = (arch.cores - data_parallel_cores) / arch.cores
-    weight_replicas = xp.minimum(arch.cores, m_tiles)
-    broadcast_noc = xp.ceil(m * k * cross_fraction) + k * n * xp.maximum(
-        weight_replicas - 1, 0
-    )
+    cross_fraction = _cross_fraction(m, fill_drain, arch, xp)
+    replicas = xp.minimum(arch.cores, m_tiles)
+    broadcast_noc = _broadcast_noc(m, k, n, cross_fraction, replicas, xp)
 
     return GemmMapping(
         compute_cycles=compute_cycles,
         useful_macs=m * k * n,
-        occupied_mac_cycles=passes * per_pass * rows * cols,
+        occupied_mac_cycles=occupied,
         merge_vector_ops=0,
         mem_read_bytes=xp.ceil(mem_reads),
         mem_write_bytes=xp.ceil(mem_writes),
@@ -327,4 +329,53 @@ def _output_stationary(m, k, n, arch, opt, xp) -> GemmMapping:
         weight_bytes=k * n,
         tiles=passes,
         k_tiles=1,
+    )
+
+
+def _pass_cycles(streamed, fill_drain, opt: OptimizationConfig):
+    """Cycles of one tile pass that streams ``streamed`` rows: plus the
+    dispatch overhead, and the fill/drain unless double buffering
+    overlaps it with the neighbouring passes."""
+    per_pass = streamed + opt.tile_overhead_cycles
+    if not opt.double_buffering:
+        per_pass = per_pass + fill_drain
+    return per_pass
+
+
+def _schedule(passes, per_pass, fill_drain, arch, xp):
+    """``(compute cycles, occupied MAC-cycles)`` of ``passes`` tile
+    passes dealt in rounds over every TU, the fill/drain paid once."""
+    compute_cycles = xp.ceil(passes / arch.tus) * per_pass + fill_drain
+    occupied = passes * per_pass * arch.tu_rows * arch.tu_cols
+    return compute_cycles, occupied
+
+
+def _activation_reads(m, k, n_tiles, opt, xp):
+    """Activation bytes read: once per reuse window of N tiles."""
+    reuse = xp.maximum(1, xp.minimum(n_tiles, opt.activation_reuse_tiles))
+    return m * k * xp.ceil(n_tiles / reuse)
+
+
+def _cross_fraction(m, fill_drain, arch, xp):
+    """The share of cores that must share M rows.
+
+    The scheduler prefers data parallelism: when M is deep enough to give
+    every core its own row slice, activations stay core-local and partial
+    sums merge inside the core.  Only the residue of cores that must
+    share rows (model parallelism) pays broadcast and cross-core
+    partial-sum traffic.
+    """
+    # ``floor(m / fill_drain)`` is ``m // fill_drain`` exactly for
+    # integers below 2**52, and over arrays it is ~10x cheaper than
+    # NumPy's float ``floor_divide``.
+    m_parallelism = xp.maximum(1, xp.floor(m / fill_drain))
+    data_parallel_cores = xp.minimum(arch.cores, m_parallelism)
+    return (arch.cores - data_parallel_cores) / arch.cores
+
+
+def _broadcast_noc(m, k, n, cross_fraction, weight_replicas, xp):
+    """Activations broadcast to the cores sharing rows, plus every weight
+    replica beyond the first."""
+    return xp.ceil(m * k * cross_fraction) + k * n * xp.maximum(
+        weight_replicas - 1, 0
     )

@@ -1,12 +1,11 @@
-"""The array namespace of the cycle simulator, over plain Python numbers.
+"""The array namespace of the GEMM mapper, over plain Python numbers.
 
-The GEMM mapper (:mod:`repro.perf.mapping`) and the layer walk
-(:mod:`repro.perf.simulator`) are written once, against an array
-namespace ``xp``.  The vector backend passes :mod:`numpy` and simulates
-every design point of a sweep at once; :class:`~repro.perf.simulator.Simulator`
-and :func:`~repro.perf.mapping.map_gemm` pass this module and simulate
-one chip over Python ``int`` and ``float`` values, so counts stay exact
-integers of unbounded size.
+The GEMM mapper (:mod:`repro.perf.mapping`) is written once, against an
+array namespace ``xp``.  The layer walk (:mod:`repro.perf.simulator`)
+passes :mod:`numpy` and maps a block of layers onto every design point
+at once; :func:`~repro.perf.mapping.map_gemm` and
+:func:`~repro.perf.optimizations.apply_space_to_depth` pass this module
+and work on one GEMM over Python ``int`` and ``float`` values.
 
 Like :func:`numpy.where`, :func:`where` receives both branches already
 evaluated: every branch the shared code passes it must be safe to
@@ -19,10 +18,10 @@ import math
 import operator
 
 ceil = math.ceil
+floor = math.floor
 maximum = max
 minimum = min
 floor_divide = operator.floordiv
-any = bool
 
 
 def where(condition, if_true, if_false):

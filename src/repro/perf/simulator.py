@@ -1,31 +1,38 @@
 """The graph-level performance simulator (TF-Sim substitute).
 
-Walks a computational graph layer by layer: GEMM-shaped layers go through
-the systolic mapping engine, vector-shaped layers (pooling, activations,
+Walks a computational graph's layers: GEMM-shaped layers go through the
+systolic mapping engine, vector-shaped layers (pooling, activations,
 depthwise convolutions, eltwise) run on the vector units, and every layer's
 time is the max of its compute, on-chip memory, NoC, and off-chip bound
 (double buffering overlaps them).  The output carries end-to-end latency,
 throughput, achieved TOPS, TU utilization, and the per-component activity
 factors the runtime power model consumes.
 
-The walk (:func:`walk_graph`) is written once, over an array namespace
-``xp``, and runs over a :class:`GraphSpec` — the graph flattened once into
-its point-independent per-layer quantities.  :class:`Simulator` runs it on
-one chip over Python numbers (:mod:`repro.perf.scalar`); the vector
-backend (:mod:`repro.batch.perf`) runs the same walk over NumPy arrays of
-design points and batch sizes, so both backends agree by construction.
+The walk (:func:`walk_graph`) runs over a :class:`GraphSpec` — the graph
+flattened once into its point-independent per-layer quantities — with the
+layers as a leading NumPy axis.  A block of whole GEMM groups maps all its
+GEMM layers in one :func:`~repro.perf.mapping.map_gemm_dims` call and runs
+all its vector layers as one set of array ops; the fusion credit, the only
+value one layer hands the next, is a segmented scan.  The vector backend
+(:mod:`repro.batch.perf`) walks arrays of design points and batch sizes;
+:class:`Simulator` walks a grid of one chip and one batch and reads each
+:class:`LayerTiming` off the layer axis, so both backends run one walk.
+Every count is an integer-valued float64, exact below 2**53; the walk
+refuses a graph or batch whose counts reach it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.chip import Chip
 from repro.arch.component import ModelContext
 from repro.cache.keys import stable_hash
 from repro.errors import MappingError
-from repro.perf import scalar
 from repro.perf.graph import Graph
 from repro.perf.mapping import ArchView, map_gemm_dims
 from repro.perf.ops import (
@@ -172,6 +179,19 @@ class GraphSpec:
             object.__setattr__(self, "_digest", digest)
         return digest
 
+    @property
+    def tables(self) -> "_LayerTables":
+        """The walk's layer tables, built once per spec object.
+
+        Kept in ``_tables``, outside the dataclass fields, like
+        :attr:`digest`.
+        """
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            tables = _LayerTables(self)
+            object.__setattr__(self, "_tables", tables)
+        return tables
+
     @classmethod
     def of(cls, graph: Graph, opt: OptimizationConfig) -> "GraphSpec":
         """The graph's spec under ``opt``, built once per graph and config.
@@ -240,178 +260,448 @@ _ACTIVITY_FIELDS = (
     "offchip_gbps",
 )
 
+#: Elements (layers x batch rows x points) one block of the walk spans.
+#: Blocks take whole GEMM groups up to it; a group that alone exceeds it
+#: over every point splits the points too.  Sized by measurement
+#: (docs/performance.md): on the 210-point x 9-row Table I walk, 2**14
+#: ran slower and 2**16 no faster, and 2**15 added ~1.7 MB of peak RSS.
+_BLOCK_ELEMENTS = 2**15
+
+#: float64 holds every integer below this exactly.
+_EXACT = 2**53
+
+#: The :class:`ArchView` fields that may hold one value per design point.
+_POINT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ArchView) if f.name != "dataflow"
+)
+
+
+def _column(layers, *names: str, dtype=np.float64) -> np.ndarray:
+    """Each layer's sum of the fields ``names``, shaped ``(layers, 1, 1)``."""
+    values = [sum(getattr(layer, name) for name in names) for layer in layers]
+    return np.array(values, dtype=dtype).reshape(-1, 1, 1)
+
+
+class _LayerTables:
+    """A spec's layers as the walk's columns, built once per spec.
+
+    The GEMM layers and the vector layers form two tables of per-layer
+    constants, each column shaped ``(layers, 1, 1)`` so it broadcasts
+    over a ``(rows, points)`` grid of batch sizes and design points.
+    ``gemm_at``/``vector_at`` give each table row's position in the
+    graph.
+
+    The layers fall into groups: a GEMM and the vector layers up to the
+    next GEMM (the first group also holds any vector layers before the
+    first GEMM).  ``cuts`` holds, at every group boundary, how many
+    layers, GEMM rows, vector rows and scan rows precede it.  The scan
+    rows (``scan``, vector-table rows) are the fusable layers that drain
+    through their group's GEMM (``scan_gemm``, a GEMM-table row): a GEMM
+    opens a run of them and a non-fusable vector layer closes it;
+    ``scan_start`` is the scan row that opens each one's run.
+    """
+
+    def __init__(self, spec: "GraphSpec"):
+        gemms: List[LayerSpec] = []
+        vectors: List[LayerSpec] = []
+        gemm_at: List[int] = []
+        vector_at: List[int] = []
+        scan: List[int] = []
+        scan_gemm: List[int] = []
+        scan_start: List[int] = []
+        cuts = [(0, 0, 0, 0)]
+        run: Optional[int] = None  # the open run's first scan row
+        for position, layer in enumerate(spec.layers):
+            if layer.has_gemm:
+                if gemms:
+                    cuts.append(
+                        (position, len(gemms), len(vectors), len(scan))
+                    )
+                gemm_at.append(position)
+                gemms.append(layer)
+                run = len(scan)
+                continue
+            if not layer.fusable:
+                run = None
+            elif run is not None:
+                scan.append(len(vectors))
+                scan_gemm.append(len(gemms) - 1)
+                scan_start.append(run)
+            vector_at.append(position)
+            vectors.append(layer)
+        if spec.layers:
+            cuts.append(
+                (len(spec.layers), len(gemms), len(vectors), len(scan))
+            )
+
+        self.params_bytes = spec.total_params_bytes
+        self.gemm_at = np.array(gemm_at, dtype=np.intp)
+        self.gemm_m = _column(gemms, "gemm_m")
+        self.gemm_k = _column(gemms, "gemm_k")
+        self.gemm_n = _column(gemms, "gemm_n")
+        self.gemm_s2d = _column(gemms, "space_to_depth", dtype=bool)
+        self.folds_stem = bool(self.gemm_s2d.any())
+        self.gemm_vector_ops = _column(gemms, "vector_ops")
+        self.gemm_io = _column(gemms, "input_bytes", "output_bytes")
+        self.gemm_params = _column(gemms, "params_bytes")
+
+        self.vector_at = np.array(vector_at, dtype=np.intp)
+        self.vector_ops = _column(vectors, "vector_ops")
+        self.vector_simd = _column(vectors, "simd")
+        self.vector_launch = _column(vectors, "pays_launch")
+        self.vector_io = _column(vectors, "input_bytes", "output_bytes")
+        self.vector_reads = _column(vectors, "input_bytes", "params_bytes")
+        self.vector_writes = _column(vectors, "output_bytes")
+        self.vector_params = _column(vectors, "params_bytes")
+
+        # Per-sample sums whose batch-scaled totals need no per-point work.
+        self.vector_ops_total = sum(layer.vector_ops for layer in spec.layers)
+        self.reads_total = self.vector_reads.sum()
+        self.writes_total = self.vector_writes.sum()
+
+        self.scan = np.array(scan, dtype=np.intp)
+        self.scan_gemm = np.array(scan_gemm, dtype=np.intp)
+        self.scan_start = np.array(scan_start, dtype=np.intp)
+        self.cuts = [tuple(cut) for cut in cuts]
+        self.cut_layers = np.array([cut[0] for cut in cuts], dtype=np.intp)
+        self.widest_group = int(np.diff(self.cut_layers).max(initial=1))
+
+
+class _Path:
+    """A bandwidth the walk moves bytes over, for one slice of points."""
+
+    def __init__(self, gbps, freq_ghz):
+        refused = np.less_equal(gbps, 0)
+        self.refused = refused if np.any(refused) else None
+        self.bytes_per_s = np.where(np.greater(gbps, 0), gbps, 1.0) * GIGA
+        self.freq_ghz = freq_ghz
+
+    def cycles(self, moved: np.ndarray) -> np.ndarray:
+        """Cycles to move ``moved`` bytes.
+
+        Every byte count is >= 0, and the ceiling of 0 cycles is 0.
+        """
+        if self.refused is not None and np.any((moved > 0) & self.refused):
+            raise MappingError("traffic on a zero-bandwidth path")
+        cycles = moved / self.bytes_per_s
+        cycles *= self.freq_ghz
+        cycles *= GIGA
+        return np.ceil(cycles, out=cycles)
+
+
+def _blocks(tables: _LayerTables, cap: int) -> Iterator[tuple]:
+    """Runs of whole groups of at most ``cap`` layers (one group if it
+    alone is larger), as each run's first and last cut."""
+    starts = tables.cut_layers
+    first = 0
+    while first < len(starts) - 1:
+        found = np.searchsorted(starts, starts[first] + cap, side="right")
+        last = max(first + 1, int(found) - 1)
+        yield tables.cuts[first], tables.cuts[last]
+        first = last
+
+
+def _overlap(bounds: tuple, opt: OptimizationConfig, compute: bool):
+    """A layer's cycles from its bounds: their max with double buffering;
+    without it, data movement serializes with compute (``compute`` says
+    whether ``bounds[0]`` is TU compute).  The first two bounds span the
+    block's full shape."""
+    if opt.double_buffering:
+        cycles = np.maximum(bounds[0], bounds[1])
+        for bound in bounds[2:]:
+            np.maximum(cycles, bound, out=cycles)
+        return cycles
+    moved = bounds[1:] if compute else bounds
+    cycles = moved[0] + moved[1]
+    for bound in moved[2:]:
+        cycles += bound
+    return bounds[0] + cycles if compute else cycles
+
+
+def _first_max(bounds: tuple) -> np.ndarray:
+    """Each layer's bound index: the first maximum, as ``list.index(max)``
+    picks it."""
+    return np.argmax(np.stack(np.broadcast_arrays(*bounds)), axis=0)
+
+
+def _point_count(arch: ArchView) -> int:
+    """How many design points the view's array fields hold (1 if none)."""
+    shape = np.broadcast_shapes(
+        *(np.shape(getattr(arch, name)) for name in _POINT_FIELDS)
+    )
+    return shape[-1] if shape else 1
+
+
+def _point_slice(arch: ArchView, lo: int, hi: int) -> ArchView:
+    """``arch`` restricted to points ``lo:hi``."""
+    return dataclasses.replace(
+        arch,
+        **{
+            name: getattr(arch, name)[lo:hi]
+            for name in _POINT_FIELDS
+            if np.ndim(getattr(arch, name))
+        },
+    )
+
+
+def _inexact(spec: "GraphSpec") -> MappingError:
+    return MappingError(
+        f"workload {spec.name!r}: a simulated count reaches 2**53, past "
+        "which float64 no longer holds integers exactly"
+    )
+
 
 def walk_graph(
     spec: GraphSpec,
     arch: ArchView,
     batch,
     opt: OptimizationConfig,
-    xp,
-    layers: Optional[List[LayerTiming]] = None,
+    per_layer: bool = False,
 ) -> dict:
-    """Simulate one batch of ``spec`` on ``arch``, over namespace ``xp``.
+    """Simulate one batch of ``spec`` on ``arch``.
 
-    Over Python numbers (``xp`` is :mod:`repro.perf.scalar`) this is one
-    run on one chip; over NumPy, ``batch`` and the view's arrays
-    broadcast, so one pass simulates every design point at every batch
-    size.  Returns ``total_cycles``, ``latency_s``, ``throughput_fps``,
-    ``achieved_tops`` and the activity factors, shaped like the
-    broadcast.  When ``layers`` is a list, each layer's
-    :class:`LayerTiming` is appended to it (Python numbers only).
+    ``batch`` is a number or a ``(rows, 1)`` array of batch sizes, and
+    the view's fields are numbers or ``(points,)`` arrays, so one walk
+    simulates every design point at every batch size.  Returns
+    ``total_cycles``, ``latency_s``, ``throughput_fps``,
+    ``achieved_tops`` and the activity factors, each shaped ``(rows,
+    points)`` (``points`` is 1 when every field is a number).  With
+    ``per_layer``, it also returns ``layer_cycles``, ``layer_bound`` (the
+    index of each layer's first largest bound) and ``layer_vector_ops``,
+    shaped ``(layers, rows, points)`` in graph order.
+
+    Raises:
+        MappingError: traffic on a zero-bandwidth path, or a count that
+            reaches 2**53.
     """
-    freq = arch.freq_ghz
-    weights_resident = spec.total_params_bytes <= (
-        arch.mem_capacity_bytes * (1 - _ACTIVATION_MEM_SHARE)
+    tables = spec.tables
+    batch = np.reshape(np.asarray(batch, dtype=np.float64), (-1, 1))
+    if spec.total_macs * int(batch.max()) * OPS_PER_MAC >= _EXACT:
+        raise _inexact(spec)
+    points = _point_count(arch)
+    rows = len(batch)
+    step = points
+    if rows * tables.widest_group * points > _BLOCK_ELEMENTS:
+        step = max(1, _BLOCK_ELEMENTS // (rows * tables.widest_group))
+    cap = max(1, _BLOCK_ELEMENTS // (rows * step))
+    keep = None
+    if per_layer:
+        grid = (len(spec.layers), rows, points)
+        keep = {
+            "layer_cycles": np.empty(grid),
+            "layer_bound": np.empty(grid, dtype=np.intp),
+            "layer_vector_ops": np.empty(grid),
+        }
+    parts = [
+        _walk_points(
+            tables,
+            batch,
+            arch if step == points else _point_slice(arch, lo, lo + step),
+            opt,
+            cap,
+            keep,
+            slice(lo, lo + step),
+        )
+        for lo in range(0, points, step)
+    ]
+    sums = {
+        name: np.concatenate([part[name] for part in parts], axis=-1)
+        for name in parts[0]
+    }
+    vector_ops = tables.vector_ops_total * batch + sums["merge_ops"]
+    mem_read = tables.reads_total * batch + sums["reads"]
+    mem_write = tables.writes_total * batch + sums["writes"]
+    total_cycles, tu_macs, occupied, noc, offchip = (
+        sums[name] for name in ("cycles", "macs", "occupied", "noc", "offchip")
     )
-    activation_budget = arch.mem_capacity_bytes * _ACTIVATION_MEM_SHARE
+    counts = (
+        total_cycles, tu_macs, occupied, vector_ops,
+        mem_read, mem_write, noc, offchip,
+    )
+    if any(np.any(count >= _EXACT) for count in counts):
+        raise _inexact(spec)
 
-    def to_cycles(moved, bandwidth_gbps):
-        """Cycles to move ``moved`` bytes at ``bandwidth_gbps``."""
-        moving = moved > 0
-        if xp.any(moving & (bandwidth_gbps <= 0)):
-            raise MappingError("traffic on a zero-bandwidth path")
-        safe_bw = xp.where(bandwidth_gbps > 0, bandwidth_gbps, 1.0)
-        seconds = moved / (safe_bw * GIGA)
-        return xp.where(moving, xp.ceil(seconds * freq * GIGA), 0)
-
-    total_cycles = 0
-    tu_macs = 0
-    occupied_mac_cycles = 0
-    vector_ops_total = 0
-    mem_read_total = 0.0
-    mem_write_total = 0.0
-    noc_total = 0.0
-    offchip_total = 0.0
-    fusion_credit = 0  # spare cycles of the previous GEMM layer
-
-    for layer in spec.layers:
-        vector_ops = layer.vector_ops * batch
-        # Weights stream in once per batch when they do not fit (they are
-        # reused across every sample of the layer-wise schedule); the
-        # working set beyond the activation budget spills to DRAM and
-        # comes back for the next layer.
-        working_set = (layer.input_bytes + layer.output_bytes) * batch
-        layer_offchip = xp.where(
-            weights_resident, 0.0, float(layer.params_bytes)
-        ) + 2.0 * xp.maximum(0.0, working_set - activation_budget)
-
-        if layer.has_gemm:
-            m = layer.gemm_m * batch
-            k = layer.gemm_k
-            if layer.space_to_depth:
-                m, k = fold_stem(m, k, xp)
-            mapping = map_gemm_dims(m, k, layer.gemm_n, arch, opt, xp)
-            vector_ops = vector_ops + mapping.merge_vector_ops
-            vu_cycles = xp.ceil(
-                mapping.merge_vector_ops / xp.maximum(arch.vu_lanes_total, 1)
-                + layer.vector_ops
-                * batch
-                / xp.maximum(arch.vu_lanes_total * _POINTWISE_SIMD, 1)
-            )
-            bounds = [
-                mapping.compute_cycles,
-                vu_cycles,
-                to_cycles(mapping.mem_read_bytes, arch.mem_read_gbps),
-                to_cycles(mapping.mem_write_bytes, arch.mem_write_gbps),
-                to_cycles(layer_offchip, arch.offchip_gbps),
-                to_cycles(mapping.noc_bytes, arch.noc_gbps),
-            ]
-            noc_total = noc_total + mapping.noc_bytes
-            mem_read_total = mem_read_total + mapping.mem_read_bytes
-            mem_write_total = mem_write_total + mapping.mem_write_bytes
-            tu_macs = tu_macs + mapping.useful_macs
-            occupied_mac_cycles = (
-                occupied_mac_cycles + mapping.occupied_mac_cycles
-            )
-        else:
-            vu_cycles = xp.ceil(
-                vector_ops / xp.maximum(arch.vu_lanes_total * layer.simd, 1)
-            )
-            if layer.fusable:
-                # Pointwise layers drain through the previous GEMM's
-                # output path; only the residue beyond its spare VU time
-                # costs extra cycles.
-                consumed = xp.minimum(vu_cycles, fusion_credit)
-                fusion_credit = fusion_credit - consumed
-                vu_cycles = vu_cycles - consumed
-            reads = (layer.input_bytes + layer.params_bytes) * batch
-            writes = layer.output_bytes * batch
-            bounds = [
-                vu_cycles,
-                to_cycles(reads, arch.mem_read_gbps),
-                to_cycles(writes, arch.mem_write_gbps),
-                to_cycles(layer_offchip, arch.offchip_gbps),
-            ]
-            mem_read_total = mem_read_total + reads
-            mem_write_total = mem_write_total + writes
-
-        if opt.double_buffering:
-            cycles = bounds[0]
-            for bound in bounds[1:]:
-                cycles = xp.maximum(cycles, bound)
-        else:
-            # Without double buffering, data movement serializes with
-            # compute.
-            compute = bounds[0] if layer.has_gemm else 0
-            movement = 0
-            for bound in bounds[1:] if layer.has_gemm else bounds:
-                movement = movement + bound
-            cycles = compute + movement
-        # Fused pointwise residues ride the pipeline; everything else
-        # pays the serial layer-launch cost.
-        if layer.pays_launch:
-            cycles = cycles + opt.layer_launch_cycles
-        if layer.has_gemm:
-            fusion_credit = xp.maximum(0, cycles - vu_cycles)
-        elif not layer.fusable:
-            fusion_credit = 0
-        offchip_total = offchip_total + layer_offchip
-        vector_ops_total = vector_ops_total + vector_ops
-        layer_cycles = xp.maximum(cycles, 1)
-        total_cycles = total_cycles + layer_cycles
-        if layers is not None:
-            names = _GEMM_BOUNDS if layer.has_gemm else _VECTOR_BOUNDS
-            layers.append(
-                LayerTiming(
-                    name=layer.name,
-                    cycles=layer_cycles,
-                    bound=names[bounds.index(max(bounds))],
-                    useful_macs=layer.macs * batch,
-                    vector_ops=vector_ops,
-                )
-            )
-
+    freq = arch.freq_ghz
     latency_s = total_cycles / (freq * GIGA)
     ran = latency_s > 0
-    safe_latency = xp.where(ran, latency_s, 1.0)
-    cycles_floor = xp.maximum(total_cycles, 1)
-    window = xp.maximum(latency_s, 1e-12)
-    tu_util = xp.minimum(
+    safe_latency = np.where(ran, latency_s, 1.0)
+    cycles_floor = np.maximum(total_cycles, 1)
+    window = np.maximum(latency_s, 1e-12)
+    tu_util = np.minimum(
         tu_macs / (arch.macs_per_cycle * cycles_floor), 1.0
     )
-    occupancy = xp.minimum(
-        occupied_mac_cycles / (arch.macs_per_cycle * cycles_floor), 1.0
+    occupancy = np.minimum(
+        occupied / (arch.macs_per_cycle * cycles_floor), 1.0
     )
-    return {
+    out = {
         "total_cycles": total_cycles,
         "latency_s": latency_s,
-        "throughput_fps": xp.where(ran, batch / safe_latency, 0.0),
-        "achieved_tops": xp.where(
+        "throughput_fps": np.where(ran, batch / safe_latency, 0.0),
+        "achieved_tops": np.where(
             ran,
             spec.total_macs * batch * OPS_PER_MAC / safe_latency / 1e12,
             0.0,
         ),
         "tu_utilization": tu_util,
-        "tu_occupancy": xp.maximum(occupancy, tu_util),
-        "vu_utilization": xp.minimum(
-            vector_ops_total / (arch.vu_lanes_total * cycles_floor), 1.0
+        "tu_occupancy": np.maximum(occupancy, tu_util),
+        "vu_utilization": np.minimum(
+            vector_ops / (arch.vu_lanes_total * cycles_floor), 1.0
         ),
-        "su_activity": xp.minimum(0.2 + 0.3 * tu_util, 1.0),
-        "mem_read_gbps": mem_read_total / window / GIGA,
-        "mem_write_gbps": mem_write_total / window / GIGA,
-        "noc_gbps": noc_total / window / GIGA,
-        "offchip_gbps": offchip_total / window / GIGA,
+        "su_activity": np.minimum(0.2 + 0.3 * tu_util, 1.0),
+        "mem_read_gbps": mem_read / window / GIGA,
+        "mem_write_gbps": mem_write / window / GIGA,
+        "noc_gbps": noc / window / GIGA,
+        "offchip_gbps": offchip / window / GIGA,
     }
+    if keep is not None:
+        out.update(keep)
+    return out
+
+
+def _walk_points(
+    tables: _LayerTables,
+    batch: np.ndarray,
+    arch: ArchView,
+    opt: OptimizationConfig,
+    cap: int,
+    keep: Optional[dict],
+    columns: slice,
+) -> dict:
+    """Walk every block of ``cap`` layers over one slice of points.
+
+    Returns the sums over layers, each shaped ``(rows, points)``, and
+    writes per-layer values into ``keep``'s ``columns`` when ``keep`` is
+    a dict.  Each block's arrays live only inside the helpers that make
+    them, so they are freed before the next block's are made.
+    """
+    gemm_m = tables.gemm_m * batch
+    gemm_k = tables.gemm_k
+    if tables.folds_stem:
+        folded_m, folded_k = fold_stem(gemm_m, gemm_k, np)
+        gemm_m = np.where(tables.gemm_s2d, folded_m, gemm_m)
+        gemm_k = np.where(tables.gemm_s2d, folded_k, gemm_k)
+    sums = {
+        name: np.zeros((len(batch), _point_count(arch)))
+        for name in (
+            "cycles", "macs", "occupied", "merge_ops", "reads", "writes",
+            "noc", "offchip",
+        )
+    }
+    capacity = arch.mem_capacity_bytes
+    # Weights stream in once per batch when they do not fit (they are
+    # reused across every sample of the layer-wise schedule); the working
+    # set beyond the activation budget spills to DRAM and comes back for
+    # the next layer.
+    resident = tables.params_bytes <= capacity * (1 - _ACTIVATION_MEM_SHARE)
+    budget = capacity * _ACTIVATION_MEM_SHARE
+    least_budget = np.min(budget)
+
+    def offchip_bytes(params, io_bytes):
+        weights = np.where(resident, 0.0, params)
+        working_set = io_bytes * batch
+        if working_set.max() <= least_budget:
+            return weights  # nothing spills: the spill terms are all 0
+        return weights + 2.0 * np.maximum(0.0, working_set - budget)
+
+    read, write, dram, noc = (
+        _Path(gbps, arch.freq_ghz)
+        for gbps in (
+            arch.mem_read_gbps,
+            arch.mem_write_gbps,
+            arch.offchip_gbps,
+            arch.noc_gbps,
+        )
+    )
+    lanes = arch.vu_lanes_total
+    merge_lanes = np.maximum(lanes, 1)
+    pointwise_lanes = np.maximum(lanes * _POINTWISE_SIMD, 1)
+    launch = opt.layer_launch_cycles
+
+    def gemm_bounds(g: slice) -> tuple:
+        """Map GEMM rows ``g``, add their traffic to the sums, and return
+        their bounds."""
+        mapping = map_gemm_dims(
+            gemm_m[g], gemm_k[g], tables.gemm_n[g], arch, opt, np
+        )
+        merge = mapping.merge_vector_ops
+        own_ops = tables.gemm_vector_ops[g] * batch
+        spill = offchip_bytes(tables.gemm_params[g], tables.gemm_io[g])
+        sums["macs"] += mapping.useful_macs.sum(axis=0)
+        sums["occupied"] += mapping.occupied_mac_cycles.sum(axis=0)
+        if np.ndim(merge):  # output stationary merges nothing: 0
+            sums["merge_ops"] += merge.sum(axis=0)
+        sums["reads"] += mapping.mem_read_bytes.sum(axis=0)
+        sums["writes"] += mapping.mem_write_bytes.sum(axis=0)
+        sums["noc"] += mapping.noc_bytes.sum(axis=0)
+        sums["offchip"] += spill.sum(axis=0)
+        if keep is not None:
+            at = tables.gemm_at[g]
+            keep["layer_vector_ops"][at, :, columns] = own_ops + merge
+        return (
+            mapping.compute_cycles,
+            np.ceil(merge / merge_lanes + own_ops / pointwise_lanes),
+            read.cycles(mapping.mem_read_bytes),
+            write.cycles(mapping.mem_write_bytes),
+            dram.cycles(spill),
+            noc.cycles(mapping.noc_bytes),
+        )
+
+    def gemm_layers(g: slice) -> np.ndarray:
+        """Walk GEMM rows ``g``; returns the credit each leaves its
+        group's fusable layers: its spare cycles beyond its own VU work."""
+        bounds = gemm_bounds(g)
+        cycles = _overlap(bounds, opt, compute=True) + launch
+        credit = np.maximum(0, cycles - bounds[1])
+        finish(cycles, bounds, tables.gemm_at[g])
+        return credit
+
+    def vector_layers(v: slice, s: slice, g0: int, credit) -> None:
+        """Walk vector rows ``v``, whose scan rows ``s`` drain through
+        the credit of the GEMM rows from ``g0`` on."""
+        own_ops = tables.vector_ops[v] * batch
+        vu = np.ceil(own_ops / np.maximum(lanes * tables.vector_simd[v], 1))
+        if s.stop > s.start:
+            # Pointwise layers drain through their GEMM's output path:
+            # each keeps only the residue beyond the credit that the
+            # fusable layers before it in the run left over.
+            at = tables.scan[s] - v.start
+            fused = vu[at]
+            before = np.cumsum(fused, axis=0)
+            before -= fused
+            before -= before[tables.scan_start[s] - s.start]
+            left = np.maximum(0, credit[tables.scan_gemm[s] - g0] - before)
+            vu[at] = fused - np.minimum(fused, left)
+        spill = offchip_bytes(tables.vector_params[v], tables.vector_io[v])
+        sums["offchip"] += spill.sum(axis=0)
+        bounds = (
+            vu,
+            read.cycles(tables.vector_reads[v] * batch),
+            write.cycles(tables.vector_writes[v] * batch),
+            dram.cycles(spill),
+        )
+        # Fused pointwise residues ride the pipeline; every other layer
+        # pays the serial layer-launch cost.
+        cycles = (
+            _overlap(bounds, opt, compute=False)
+            + tables.vector_launch[v] * launch
+        )
+        finish(cycles, bounds, tables.vector_at[v])
+        if keep is not None:
+            keep["layer_vector_ops"][tables.vector_at[v], :, columns] = own_ops
+
+    def finish(cycles, bounds: tuple, at: np.ndarray) -> None:
+        """Add the layers' cycles (at least 1 each) to the sums."""
+        cycles = np.maximum(cycles, 1)
+        sums["cycles"] += cycles.sum(axis=0)
+        if keep is not None:
+            keep["layer_cycles"][at, :, columns] = cycles
+            keep["layer_bound"][at, :, columns] = _first_max(bounds)
+
+    for (_, g0, v0, s0), (_, g1, v1, s1) in _blocks(tables, cap):
+        credit = gemm_layers(slice(g0, g1)) if g1 > g0 else None
+        if v1 > v0:
+            vector_layers(slice(v0, v1), slice(s0, s1), g0, credit)
+    return sums
 
 
 class Simulator:
@@ -429,30 +719,45 @@ class Simulator:
         self.arch = ArchView.of(chip, ctx)
 
     def run(self, graph: Graph, batch: int = 1) -> SimulationResult:
-        """Simulate one batch of ``graph`` end to end."""
+        """Simulate one batch of ``graph`` end to end.
+
+        The walk runs over a grid of one (this chip, this batch); each
+        layer's :class:`LayerTiming` is read off its layer axis.
+        """
         if batch < 1:
             raise MappingError(f"batch must be >= 1, got {batch}")
-        layers: List[LayerTiming] = []
-        out = walk_graph(
-            GraphSpec.of(graph, self.opt),
-            self.arch,
-            batch,
-            self.opt,
-            scalar,
-            layers,
+        spec = GraphSpec.of(graph, self.opt)
+        out = walk_graph(spec, self.arch, batch, self.opt, per_layer=True)
+        cycles, bounds, vector_ops = (
+            out[key].ravel().tolist()
+            for key in ("layer_cycles", "layer_bound", "layer_vector_ops")
+        )
+        layers = tuple(
+            LayerTiming(
+                name=layer.name,
+                cycles=int(layer_cycles),
+                bound=(_GEMM_BOUNDS if layer.has_gemm else _VECTOR_BOUNDS)[
+                    bound
+                ],
+                useful_macs=layer.macs * batch,
+                vector_ops=int(layer_ops),
+            )
+            for layer, layer_cycles, bound, layer_ops in zip(
+                spec.layers, cycles, bounds, vector_ops
+            )
         )
         return SimulationResult(
             graph_name=graph.name,
             batch=batch,
-            total_cycles=out["total_cycles"],
-            latency_s=out["latency_s"],
-            throughput_fps=out["throughput_fps"],
-            achieved_tops=out["achieved_tops"],
+            total_cycles=int(out["total_cycles"].item()),
+            latency_s=out["latency_s"].item(),
+            throughput_fps=out["throughput_fps"].item(),
+            achieved_tops=out["achieved_tops"].item(),
             peak_tops=self.chip.peak_tops(self.ctx),
             activity=ActivityFactors(
-                **{name: out[name] for name in _ACTIVITY_FIELDS}
+                **{name: out[name].item() for name in _ACTIVITY_FIELDS}
             ),
-            layers=tuple(layers),
+            layers=layers,
         )
 
     # -- batch-size studies (Fig. 9) -------------------------------------------

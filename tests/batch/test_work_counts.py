@@ -4,7 +4,9 @@ Wall time on a shared CI runner cannot be gated tightly, but how many
 simulations a sweep runs can be gated exactly.  The vector backend
 simulates each workload once, over every batch regime stacked on a
 leading axis; the scalar latency-bound search runs each batch candidate
-once and reuses the winner's run.  Both backends walk a graph's
+once and reuses the winner's run.  A walk maps a whole block of GEMM
+layers per mapper call, so a small call costs a few mapper calls per
+workload, not one per GEMM layer.  Both backends walk a graph's
 flattened ``GraphSpec``, memoized on the graph, so evaluating a second
 design point never costs a layer again.  Nor does a second vector
 estimate of the Table I points build a chip: preset points take their
@@ -17,6 +19,7 @@ import pytest
 
 import repro.batch.perf as batch_perf
 import repro.cache.keys as cache_keys
+import repro.perf.simulator as simulator
 from repro.arch.chip import ChipConfig
 from repro.batch import BatchEstimator
 from repro.cache import estimate_cache_disabled
@@ -95,6 +98,27 @@ def test_scalar_latency_bound_runs_each_candidate_once(
     )
     assert len(result.outcomes) == len(batches) * len(workloads)
     assert len(calls) == per_workload * len(workloads)
+
+
+def test_one_point_estimate_maps_each_workload_once(monkeypatch):
+    calls = _count_calls(monkeypatch, simulator, "map_gemm_dims")
+    with estimate_cache_disabled():
+        result = BatchEstimator(datacenter_context()).estimate_points(
+            [DesignPoint(64, 2, 2, 4)],
+            workloads=_fig10_workloads(),
+            batches=(1,),
+        )
+    assert result.fallback_reasons == {}
+    assert len(calls) == 3
+
+
+def test_scalar_run_maps_its_gemm_layers_in_one_call(monkeypatch):
+    chip = DesignPoint(64, 2, 2, 4).build()
+    simulator_ = Simulator(chip, datacenter_context())
+    calls = _count_calls(monkeypatch, simulator, "map_gemm_dims")
+    result = simulator_.run(resnet50(), 1)
+    assert len(result.layers) == 121
+    assert len(calls) == 1
 
 
 def test_second_scalar_evaluation_flattens_no_layer(monkeypatch):

@@ -8,11 +8,21 @@ from repro.arch.core import CoreConfig
 from repro.arch.memory import OnChipMemoryConfig
 from repro.arch.tensor_unit import TensorUnitConfig
 from repro.config.presets import datacenter_context
+from repro.dse.engine import run_sweep
 from repro.dse.space import DesignPoint
+from repro.dse.sweep import evaluate_point
+from repro.errors import MappingError
 from repro.perf import scalar
 from repro.perf.graph import Graph
 from repro.perf.mapping import ArchView, map_gemm
-from repro.perf.ops import Activation, Conv2d, Elementwise, Gemm
+from repro.perf.ops import (
+    Activation,
+    Conv2d,
+    Elementwise,
+    Gemm,
+    MatMul,
+    Pool,
+)
 from repro.perf.optimizations import OptimizationConfig, fold_stem
 from repro.perf.simulator import GraphSpec, Simulator
 
@@ -114,3 +124,39 @@ def test_weightless_gemm_streams_no_weights(chip, ctx):
     # No parameters: nothing streams from DRAM for this layer.
     assert graph.total_params_bytes() == 0
     assert result.activity.offchip_gbps == pytest.approx(0.0, abs=1e-9)
+
+
+def _past_the_exact_range() -> list:
+    """(graph, batch) pairs whose counts reach 2**53: the MACs, and, in
+    a graph with no MAC at all, the vector ops and bytes."""
+    macs = Graph("huge-macs", (1, 1, 1 << 20))
+    macs.add("fc", MatMul(1 << 20), ["input"])
+    vectors = Graph("huge-vectors", (1 << 13, 1 << 13, 1 << 10))
+    vectors.add("pool", Pool(), ["input"])
+    return [(macs, 1 << 12), (vectors, 1 << 17)]
+
+
+@pytest.mark.parametrize(
+    "graph, batch", _past_the_exact_range(), ids=["macs", "vector-ops"]
+)
+def test_counts_past_float64s_exact_range_raise(graph, batch, ctx):
+    """Both backends count in float64, so neither rounds silently."""
+    point = DesignPoint(32, 2, 2, 2)
+    workloads = [(graph.name, graph)]
+    with pytest.raises(MappingError, match=graph.name):
+        Simulator(point.build(), ctx).run(graph, batch)
+    with pytest.raises(MappingError, match=graph.name):
+        evaluate_point(point, workloads, [batch], ctx)
+    report = run_sweep(
+        [point],
+        workloads,
+        [batch],
+        ctx,
+        backend="auto",
+        strict=False,
+        retry_degraded=False,
+    )
+    [record] = report.records
+    assert record.status == "failed"
+    assert record.failure.error_type == "MappingError"
+    assert graph.name in record.failure.message

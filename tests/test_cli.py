@@ -193,6 +193,15 @@ def test_dse_without_keep_going_aborts(capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dse_expanded_space_requires_the_surrogate(capsys, monkeypatch):
+    monkeypatch.setattr(engine_mod, "evaluate_point", _fake_evaluate)
+    code = main(["dse", "--expanded-space", "--batch", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--strategy surrogate" in captured.err
+    assert captured.out == ""
+
+
 def test_dse_resume_requires_journal(capsys, monkeypatch):
     monkeypatch.setattr(engine_mod, "evaluate_point", _fake_evaluate)
     code = main(["dse", "--resume", "--point", "16,1,2,2"])
