@@ -478,8 +478,9 @@ def _write_merged_journal(manifest, outcome, path: str) -> None:
     if outcome.recipe is not None:
         meta["recipe"] = outcome.recipe
     with Journal(path, meta=meta) as journal:
-        for record in outcome.report.records:
-            journal.append(record.journal_entry())
+        journal.append(
+            *(record.journal_entry() for record in outcome.report.records)
+        )
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:

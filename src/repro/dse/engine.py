@@ -40,9 +40,11 @@ points:
   with the workload recipe dropped, so the study still gets the
   area/TDP/peak-TOPS row where achievable (status ``degraded``).
 * **Checkpoint/resume** — with a ``journal_path``, every finished point is
-  appended to a JSONL journal (:mod:`repro.dse.journal`); ``resume=True``
-  refuses a journal stamped for another recipe, skips journaled points
-  and rehydrates their metrics.
+  journaled to JSONL (:mod:`repro.dse.journal`), one fsynced commit per
+  batch: a vector batch's rows together once the batch is scored, any
+  other point alone, so a crash loses at most the batch in flight.
+  ``resume=True`` refuses a journal stamped for another recipe, skips
+  journaled points and rehydrates their metrics.
 * **Result guardrails** — every accepted result passes
   :func:`repro.integrity.validate_result`; NaN/inf/out-of-range
   values are rejected at the boundary as
@@ -755,6 +757,9 @@ class _SweepRun:
             validate=validate,
         )
         self.records: dict[int, PointRecord] = {}
+        #: Finalized records awaiting their batch's commit, while
+        #: :meth:`_one_commit` holds them; ``None`` commits each alone.
+        self._held: Optional[list[PointRecord]] = None
 
     def _aborted(self) -> bool:
         """Poll the cancellation hook once; latch the cancelled flag."""
@@ -766,10 +771,34 @@ class _SweepRun:
 
     def _finalize(self, task: _Task, record: PointRecord) -> None:
         self.records[task.index] = record
-        if self.journal is not None and not record.from_journal:
-            self.journal.append(record.journal_entry())
+        if self._held is not None:
+            self._held.append(record)
+        else:
+            self._commit((record,))
+
+    def _commit(self, records: Sequence[PointRecord]) -> None:
+        """Journal ``records`` in one commit, then report each one."""
+        if self.journal is not None:
+            self.journal.append(*(
+                record.journal_entry()
+                for record in records
+                if not record.from_journal
+            ))
         if self.on_record is not None:
-            self.on_record(record)
+            for record in records:
+                self.on_record(record)
+
+    @contextmanager
+    def _one_commit(self) -> Iterator[None]:
+        """Hold the records finalized inside the block and commit them
+        together on the way out, an error's way included, so a strict
+        raise mid-batch still journals the rows finalized before it."""
+        self._held = []
+        try:
+            yield
+        finally:
+            held, self._held = self._held, None
+            self._commit(held)
 
     def _success(
         self,
@@ -876,11 +905,14 @@ class _SweepRun:
         points — for the scalar path, so ``auto`` sweeps produce exactly
         the records a scalar sweep would (including authentic per-point
         failures).  Every handed-back task carries its fallback reason,
-        which lands in the final record and journal row.  With ``mode ==
+        which lands in the final record and journal row.  A row that
+        fails the numeric screen, or the result guardrails
+        (``validate_result``), is a screen failure.  With ``mode ==
         "vector"``, a screen failure is recorded (or raised, under
         ``strict``) instead of falling back; the other fallbacks take
         the scalar path in both modes, because only it raises the
-        authentic model error.
+        authentic model error.  The batch's records are journaled in
+        one commit once the batch is scored.
         """
         from dataclasses import replace
 
@@ -897,24 +929,33 @@ class _SweepRun:
         )
         share = (time.perf_counter() - start) / max(len(ordered), 1)
         remaining: deque[_Task] = deque()
-        for offset, (task, summary) in enumerate(
-            zip(ordered, batch.summaries)
-        ):
-            if summary is not None:
-                if self.validate:
-                    validate_result(summary)
-                self._success(task, summary, share)
-                continue
-            reason = batch.fallback_reasons[offset]
-            if mode == "vector" and reason == SCREEN_FAILED:
-                error = NumericalError(
-                    f"batch[{offset}]",
-                    float("nan"),
-                    "batched output failed the numeric screen",
-                )
+        with self._one_commit():
+            for offset, (task, summary) in enumerate(
+                zip(ordered, batch.summaries)
+            ):
+                reason = batch.fallback_reasons.get(offset)
+                error: Optional[NumericalError] = None
+                if summary is not None:
+                    try:
+                        if self.validate:
+                            validate_result(summary)
+                    except NumericalError as raised:
+                        reason, error = SCREEN_FAILED, raised
+                    else:
+                        self._success(task, summary, share)
+                        continue
+                elif reason == SCREEN_FAILED:
+                    error = NumericalError(
+                        f"batch[{offset}]",
+                        float("nan"),
+                        "batched output failed the numeric screen",
+                    )
+                tagged = replace(task, fallback=reason)
+                if mode != "vector" or error is None:
+                    remaining.append(tagged)
+                    continue
                 if self.strict:
                     raise error
-                tagged = replace(task, fallback=reason)
                 retry = self._failure(
                     tagged,
                     PointFailure.from_error(
@@ -926,8 +967,6 @@ class _SweepRun:
                 )
                 if retry is not None:
                     remaining.append(retry)
-                continue
-            remaining.append(replace(task, fallback=reason))
         return remaining
 
     # -- forked execution (persistent chunked worker pool) --------------------
@@ -1161,8 +1200,10 @@ def run_sweep(
             (:func:`repro.integrity.validate_result`) on every
             accepted result.
         journal_path: JSONL checkpoint file; every finished point is
-            appended and fsynced, under a header stamped with the
-            sweep's :func:`~repro.dse.journal.recipe_digest`.
+            appended under a header stamped with the sweep's
+            :func:`~repro.dse.journal.recipe_digest`, one fsynced commit
+            per batch (a vector batch's rows together, any other point
+            alone): at most the batch in flight is lost to a crash.
         resume: Skip points already finished in ``journal_path`` and
             rehydrate their journaled metrics; the journal's stamps must
             match this run's.
@@ -1171,7 +1212,7 @@ def run_sweep(
             coordinates; see :mod:`repro.dse.shard`).
         latency_slo_ms: SLO for ``"latency-bound"`` batch specs.
         on_record: Progress callback invoked with each final
-            :class:`PointRecord`.
+            :class:`PointRecord`, once the record is journaled.
         warm_cache: Before forking workers, pre-seed the estimate cache
             with each unique per-core substrate
             (:func:`warm_substrate_cache`) so workers inherit it by

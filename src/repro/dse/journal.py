@@ -1,9 +1,11 @@
 """JSONL checkpoint journal for long design-space sweeps.
 
 A 200-point sweep that dies at point 173 should not cost 172 evaluations.
-The engine appends one self-contained JSON line per *finished* point —
-success, degraded success, or structured failure — flushing after every
-line so a SIGKILL loses at most the point in flight.  On ``resume`` the
+The engine writes one self-contained JSON line per *finished* point —
+success, degraded success, or structured failure — and commits each
+batch of finished points (a vector batch's rows together, any other
+point alone) with one write, flush and fsync: one commit per batch, so
+a SIGKILL loses at most the batch in flight.  On ``resume`` the
 journal is read back, finished points are skipped, and their metrics are
 rehydrated by :func:`result_from_metrics` into the same
 :class:`~repro.dse.sweep.DesignPointResult` rows a fresh evaluation
@@ -266,10 +268,13 @@ class AppendLog:
     Opening creates the directory, cuts a torn tail with the log's own
     line validator, so the next record never lands on a partial line
     (or truncates the file when ``fresh``), and writes ``header`` once
-    into an empty file.  Each line is then one write +
-    flush + fsync under a lock, so concurrent writers never interleave
-    and a line is on disk before its writer returns.  ``appended``
-    counts the lines written since opening, header excluded.
+    into an empty file.  Each commit — one line or a batch of them — is
+    then one write + flush + fsync under a lock, so concurrent writers
+    never interleave and the lines are on disk before their writer
+    returns; a crash mid-commit leaves a whole-line prefix of the batch
+    and at most one torn line, which the next opening cuts.
+    ``appended`` counts the lines written since opening, header
+    excluded.
     """
 
     def __init__(
@@ -292,20 +297,23 @@ class AppendLog:
         )
         self.appended = 0
         if os.path.getsize(self.path) == 0:
-            self._write_line(json.dumps(header, sort_keys=True))
+            self._commit((json.dumps(header, sort_keys=True),))
 
-    def _write_line(self, line: str) -> None:
+    def _commit(self, lines: Sequence[str]) -> None:
         assert self._fh is not None
-        self._fh.write(line + "\n")
+        self._fh.write("".join(line + "\n" for line in lines))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
-    def _append_line(self, line: str) -> None:
+    def _append(self, *lines: str) -> None:
+        """Commit ``lines`` together; no lines, no commit."""
+        if not lines:
+            return
         with self._lock:
             if self._fh is None:
                 raise ConfigurationError(f"log {self.path} is closed")
-            self._write_line(line)
-            self.appended += 1
+            self._commit(lines)
+            self.appended += len(lines)
 
     def close(self) -> None:
         with self._lock:
@@ -321,7 +329,8 @@ class AppendLog:
 
 
 class Journal(AppendLog):
-    """The sweep checkpoint: one fsynced line per finished point.
+    """The sweep checkpoint: one line per finished point, one fsynced
+    commit per batch of them.
 
     ``meta`` is a JSON-serializable dict folded into a new journal's
     header under ``"meta"``; its :data:`STAMPS` keys are the journal's
@@ -347,10 +356,10 @@ class Journal(AppendLog):
             header["meta"] = meta
         super().__init__(path, header, _line_is_damaged, fresh=not resume)
 
-    def append(self, entry: JournalEntry) -> None:
-        """Record one finished point; flushed and fsynced immediately."""
-        self._append_line(entry.to_json())
-        self.entries.append(entry)
+    def append(self, *entries: JournalEntry) -> None:
+        """Record finished points in order, in one fsynced commit."""
+        self._append(*(entry.to_json() for entry in entries))
+        self.entries.extend(entries)
 
     def finished_points(self) -> set[DesignPoint]:
         """Points with a final record (ok, degraded, *or* failed)."""

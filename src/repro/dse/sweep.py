@@ -190,11 +190,13 @@ def evaluate_point(
                 with _stage("simulate"):
                     if batch_spec == "latency-bound":
                         result = simulator.latency_limited_run(
-                            graph, slo_ms=latency_slo_ms
+                            graph, slo_ms=latency_slo_ms, per_layer=False
                         )
                     else:
                         result = simulator.run(
-                            graph, int(batch_spec)  # type: ignore[arg-type]
+                            graph,
+                            int(batch_spec),  # type: ignore[arg-type]
+                            per_layer=False,
                         )
                 batch = result.batch
                 with _stage("power"):

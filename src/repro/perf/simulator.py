@@ -19,11 +19,19 @@ value one layer hands the next, is a segmented scan.  The vector backend
 :class:`LayerTiming` off the layer axis, so both backends run one walk.
 Every count is an integer-valued float64, exact below 2**53; the walk
 refuses a graph or batch whose counts reach it.
+
+A block's temporaries are freed before the next block makes its own, and
+glibc gives the freed top of the heap back to the OS once it passes its
+trim threshold, so every block would fault the same pages in again.  The
+first walk raises that threshold (:data:`_TRIM_THRESHOLD_BYTES`) so the
+heap stays mapped between blocks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -270,6 +278,30 @@ _BLOCK_ELEMENTS = 2**15
 #: float64 holds every integer below this exactly.
 _EXACT = 2**53
 
+#: glibc's trim threshold from the first walk on: freed heap up to this
+#: size stays mapped for the next block instead of being faulted back in.  A
+#: repeat 210-point x 9-row Table I walk of the three paper workloads
+#: took ~20k minor page faults at the default and none at this value.
+_TRIM_THRESHOLD_BYTES = 16 * 2**20
+
+#: ``mallopt``'s parameter number for the trim threshold (glibc
+#: ``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Raise glibc's trim threshold, once per process; without glibc's
+    ``mallopt`` (another libc or OS) this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 #: The :class:`ArchView` fields that may hold one value per design point.
 _POINT_FIELDS = tuple(
     f.name for f in dataclasses.fields(ArchView) if f.name != "dataflow"
@@ -474,6 +506,7 @@ def walk_graph(
         MappingError: traffic on a zero-bandwidth path, or a count that
             reaches 2**53.
     """
+    _keep_heap()
     tables = spec.tables
     batch = np.reshape(np.asarray(batch, dtype=np.float64), (-1, 1))
     if spec.total_macs * int(batch.max()) * OPS_PER_MAC >= _EXACT:
@@ -718,34 +751,42 @@ class Simulator:
         self.opt = opt if opt is not None else OptimizationConfig.all_on()
         self.arch = ArchView.of(chip, ctx)
 
-    def run(self, graph: Graph, batch: int = 1) -> SimulationResult:
+    def run(
+        self, graph: Graph, batch: int = 1, per_layer: bool = True
+    ) -> SimulationResult:
         """Simulate one batch of ``graph`` end to end.
 
         The walk runs over a grid of one (this chip, this batch); each
-        layer's :class:`LayerTiming` is read off its layer axis.
+        layer's :class:`LayerTiming` is read off its layer axis.  With
+        ``per_layer=False`` the result's ``layers`` is empty and no
+        per-layer value is kept; every other field is the same.
         """
         if batch < 1:
             raise MappingError(f"batch must be >= 1, got {batch}")
         spec = GraphSpec.of(graph, self.opt)
-        out = walk_graph(spec, self.arch, batch, self.opt, per_layer=True)
-        cycles, bounds, vector_ops = (
-            out[key].ravel().tolist()
-            for key in ("layer_cycles", "layer_bound", "layer_vector_ops")
-        )
-        layers = tuple(
-            LayerTiming(
-                name=layer.name,
-                cycles=int(layer_cycles),
-                bound=(_GEMM_BOUNDS if layer.has_gemm else _VECTOR_BOUNDS)[
-                    bound
-                ],
-                useful_macs=layer.macs * batch,
-                vector_ops=int(layer_ops),
+        out = walk_graph(spec, self.arch, batch, self.opt, per_layer)
+        layers: tuple[LayerTiming, ...] = ()
+        if per_layer:
+            cycles, bounds, vector_ops = (
+                out[key].ravel().tolist()
+                for key in (
+                    "layer_cycles", "layer_bound", "layer_vector_ops"
+                )
             )
-            for layer, layer_cycles, bound, layer_ops in zip(
-                spec.layers, cycles, bounds, vector_ops
+            layers = tuple(
+                LayerTiming(
+                    name=layer.name,
+                    cycles=int(layer_cycles),
+                    bound=(
+                        _GEMM_BOUNDS if layer.has_gemm else _VECTOR_BOUNDS
+                    )[bound],
+                    useful_macs=layer.macs * batch,
+                    vector_ops=int(layer_ops),
+                )
+                for layer, layer_cycles, bound, layer_ops in zip(
+                    spec.layers, cycles, bounds, vector_ops
+                )
             )
-        )
         return SimulationResult(
             graph_name=graph.name,
             batch=batch,
@@ -783,20 +824,27 @@ class Simulator:
         simply cannot meet the requirement, as the paper's wimpiest points
         cannot).
         """
-        return self.latency_limited_run(graph, slo_ms, candidates).batch
+        return self.latency_limited_run(
+            graph, slo_ms, candidates, per_layer=False
+        ).batch
 
     def latency_limited_run(
         self,
         graph: Graph,
         slo_ms: float = DEFAULT_LATENCY_SLO_MS,
         candidates: tuple[int, ...] = BATCH_CANDIDATES,
+        per_layer: bool = True,
     ) -> SimulationResult:
         """The run at :meth:`latency_limited_batch`'s batch.
 
         Scans the sorted candidates once and returns the winner's run,
         so callers need not simulate the chosen batch a second time.
+        ``per_layer`` is :meth:`run`'s.
         """
-        runs = {batch: self.run(graph, batch) for batch in sorted(candidates)}
+        runs = {
+            batch: self.run(graph, batch, per_layer)
+            for batch in sorted(candidates)
+        }
         best = candidates[0]
         for batch, result in runs.items():
             if result.latency_ms <= slo_ms:

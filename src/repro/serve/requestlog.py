@@ -67,7 +67,7 @@ class RequestLog(AppendLog):
         detail: Optional[dict] = None,
     ) -> None:
         """Journal one resolved request; flushed immediately."""
-        self._append_line(json.dumps(
+        self._append(json.dumps(
             {
                 "kind": "request",
                 "id": request_id,

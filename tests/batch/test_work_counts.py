@@ -10,10 +10,17 @@ workload, not one per GEMM layer.  Both backends walk a graph's
 flattened ``GraphSpec``, memoized on the graph, so evaluating a second
 design point never costs a layer again.  Nor does a second vector
 estimate of the Table I points build a chip: preset points take their
-per-point values from the preset's rule.
+per-point values from the preset's rule.  The scalar path keeps no
+per-layer record it would drop.  A journaled ``auto`` sweep commits a
+vector batch's rows with one fsync, and a repeat walk finds its heap
+still mapped instead of faulting it back in.
 """
 
 from __future__ import annotations
+
+import os
+import platform
+import resource
 
 import pytest
 
@@ -24,6 +31,8 @@ from repro.arch.chip import ChipConfig
 from repro.batch import BatchEstimator
 from repro.cache import estimate_cache_disabled
 from repro.config.presets import datacenter_context
+from repro.dse.engine import run_sweep
+from repro.dse.journal import load_journal
 from repro.dse.space import DesignPoint, full_grid
 from repro.dse.sweep import evaluate_point
 from repro.perf.graph import LayerNode
@@ -121,6 +130,18 @@ def test_scalar_run_maps_its_gemm_layers_in_one_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_scalar_evaluation_builds_no_layer_record(monkeypatch):
+    records = _count_calls(monkeypatch, simulator, "LayerTiming")
+    result = evaluate_point(
+        DesignPoint(64, 2, 2, 4),
+        _fig10_workloads(),
+        FIG10_BATCHES,
+        datacenter_context(),
+    )
+    assert len(result.outcomes) == len(FIG10_BATCHES) * 3
+    assert len(records) == 0
+
+
 def test_second_scalar_evaluation_flattens_no_layer(monkeypatch):
     workloads = _fig10_workloads()
     ctx = datacenter_context()
@@ -197,3 +218,54 @@ def test_second_table1_estimate_builds_no_chip_config(monkeypatch, cached):
             result = estimator.estimate_points(points)
     assert result.fallback_reasons == {}
     assert len(configs) == 0
+
+
+def test_journaled_table1_sweep_commits_its_rows_in_one_fsync(
+    monkeypatch, tmp_path
+):
+    path = tmp_path / "sweep.jsonl"
+    commits = []
+    fsync = os.fsync
+
+    def counted(fd):
+        if os.path.samestat(os.fstat(fd), os.stat(path)):
+            commits.append(fd)
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    report = run_sweep(
+        full_grid(),
+        _fig10_workloads(),
+        FIG10_BATCHES,
+        backend="auto",
+        journal_path=path,
+    )
+    assert report.fallback_totals() == {}
+    assert [r.status for r in report.records] == ["ok"] * 210
+    # The header, then the 210 rows together.
+    assert len(commits) == 2
+    assert [e.point for e in load_journal(path)] == full_grid()
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming"
+)
+def test_repeat_table1_walk_faults_no_heap_back_in(monkeypatch):
+    walks = []
+    walk_graph = batch_perf.walk_graph
+
+    def captured(spec, arch, batch, opt):
+        walks.append((spec, arch, batch, opt))
+        return walk_graph(spec, arch, batch, opt)
+
+    monkeypatch.setattr(batch_perf, "walk_graph", captured)
+    with estimate_cache_disabled():
+        BatchEstimator(datacenter_context()).estimate_points(
+            full_grid(), workloads=_fig10_workloads(), batches=FIG10_BATCHES
+        )
+    assert [batch.shape for _, _, batch, _ in walks] == [(9, 1)] * 3
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for spec, arch, batch, opt in walks:
+        simulator.walk_graph(spec, arch, batch, opt)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000

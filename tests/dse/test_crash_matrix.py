@@ -4,10 +4,12 @@ A forked writer is killed (``os._exit``, which skips every Python-level
 flush, like a SIGKILL) right after one step of its write — ``write``,
 ``flush`` or ``fsync``; for :func:`repro.dse.journal.atomic_write` also
 just before and just after ``os.replace`` — under each caller: the sweep
-journal, the daemon's request log, the shard manifest, the shard lease
-heartbeat and the surrogate model save.  A reader must then see the old
-state or the new one, exactly as the step implies, and a reopened log
-must append a clean record.
+journal (one row, and a batch of rows committed together), the daemon's
+request log, the shard manifest, the shard lease heartbeat and the
+surrogate model save.  A reader must then see the old state or the new
+one, exactly as the step implies, and a reopened log must append a clean
+record.  A batch whose write the OS took only in part leaves the old
+rows and a whole-line prefix of the batch.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ EXPECTED = {
 
 
 def _die_after(step: str) -> None:
-    """In the forked writer: exit right after ``step`` of a durable write."""
+    """In the forked writer: exit right after ``step`` of a durable write.
+
+    ``torn-write`` hands the OS only the first half of the first write's
+    data and exits, as a kill inside the ``write`` system call would.
+    """
     real_open, real_fsync, real_replace = builtins.open, os.fsync, os.replace
 
     def stop(name: str) -> None:
@@ -60,6 +66,10 @@ def _die_after(step: str) -> None:
             self._fh = fh
 
         def write(self, data):
+            if step == "torn-write":
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                stop("torn-write")
             written = self._fh.write(data)
             stop("write")
             return written
@@ -146,6 +156,48 @@ class SweepJournal:
         _lines_parse(path)
 
 
+#: The rows a batched writer commits together after the old row (8).
+BATCH = (16, 32, 64)
+
+
+def _batch_state(path) -> str:
+    """``old`` or ``new``, or ``prefix`` for the old row and part of the
+    batch; anything but a whole-line prefix of the batch fails."""
+    rows = tuple(e.point.x for e in load_journal(path))
+    assert rows[:1] == (8,)
+    landed = rows[1:]
+    assert landed == BATCH[: len(landed)]
+    if not landed:
+        return "old"
+    return "new" if landed == BATCH else "prefix"
+
+
+class SweepJournalBatch:
+    """Rows committed with one write, flush and fsync.  The batch is far
+    smaller than the write buffer, so nothing reaches the OS before the
+    flush."""
+
+    pattern = "append"
+
+    def setup(self, path):
+        with Journal(path) as journal:
+            journal.append(_entry(8))
+
+    def write(self, path):
+        with Journal(path, resume=True) as journal:
+            journal.append(*(_entry(x) for x in BATCH))
+
+    def read(self, path):
+        return _batch_state(path)
+
+    def reopen(self, path):
+        with Journal(path, resume=True) as journal:
+            assert journal.repaired_lines == 0
+            journal.append(_entry(4), _entry(2))
+        assert [e.point.x for e in load_journal(path)][-2:] == [4, 2]
+        _lines_parse(path)
+
+
 class RequestLogCaller:
     pattern = "append"
 
@@ -229,6 +281,7 @@ class ModelSave:
 
 CALLERS = {
     "sweep-journal": SweepJournal,
+    "sweep-journal-batch": SweepJournalBatch,
     "request-log": RequestLogCaller,
     "shard-manifest": Manifest,
     "lease-heartbeat": LeaseHeartbeat,
@@ -256,3 +309,19 @@ def test_a_killed_writer_leaves_the_old_state_or_the_new(
     assert caller.read(path) == EXPECTED[caller.pattern][step]
     if hasattr(caller, "reopen"):
         caller.reopen(path)
+
+
+def test_a_batch_torn_mid_write_leaves_a_whole_line_prefix(tmp_path):
+    caller = SweepJournalBatch()
+    path = str(tmp_path / "durable")
+    caller.setup(path)
+    _kill_mid_write("torn-write", lambda: caller.write(path))
+    with pytest.warns(RuntimeWarning, match="trailing journal line"):
+        assert caller.read(path) == "prefix"
+    with pytest.warns(RuntimeWarning, match="trailing journal line"):
+        journal = Journal(path, resume=True)
+    with journal:
+        assert journal.repaired_lines == 1
+        journal.append(_entry(4))
+    assert [e.point.x for e in load_journal(path)] == [8, 16, 4]
+    _lines_parse(path)

@@ -14,15 +14,22 @@ import pytest
 from dataclasses import replace
 
 from repro.arch.chip import Chip
-from repro.batch.estimator import BUILD_FAILED, SRAM_INFEASIBLE
+from repro.batch.estimator import (
+    BUILD_FAILED,
+    SCREEN_FAILED,
+    SRAM_INFEASIBLE,
+)
 from repro.config.presets import (
     datacenter_context,
     datacenter_design_point,
     tpu_v1,
 )
+from repro.dse import engine
 from repro.dse.engine import run_sweep
 from repro.dse.journal import load_journal
-from repro.dse.space import DesignPoint
+from repro.dse.space import DesignPoint, full_grid
+from repro.errors import NumericalError
+from repro.workloads import resnet50
 
 
 class ForeignPoint(DesignPoint):
@@ -131,3 +138,52 @@ def test_workload_metrics_include_latency(tmp_path):
     (entry,) = load_journal(tmp_path / "sweep.jsonl")
     (journaled,) = entry.metrics["outcomes"]
     assert journaled["latency_ms"] == outcome["latency_ms"]
+
+
+def _reject_one(monkeypatch, bad: DesignPoint) -> None:
+    """Make the result guardrails reject ``bad``'s row, on every path."""
+    validate = engine.validate_result
+
+    def rejecting(result):
+        if result.point == bad:
+            raise NumericalError("area_mm2", result.area_mm2, "injected")
+        return validate(result)
+
+    monkeypatch.setattr(engine, "validate_result", rejecting)
+
+
+@pytest.mark.parametrize(
+    "backend, fallback",
+    [("scalar", None), ("auto", SCREEN_FAILED), ("vector", SCREEN_FAILED)],
+)
+def test_a_row_the_guardrails_reject_is_recorded_as_failed(
+    monkeypatch, tmp_path, backend, fallback
+):
+    points = full_grid()[:6]
+    _reject_one(monkeypatch, points[3])
+    path = tmp_path / "sweep.jsonl"
+    report = run_sweep(
+        points, [("ResNet", resnet50())], [1], backend=backend,
+        journal_path=path,
+    )
+    statuses = [r.status for r in report.records]
+    assert statuses == ["ok", "ok", "ok", "failed", "ok", "ok"]
+    failed = report.records[3]
+    assert failed.failure.error_type == "NumericalError"
+    assert failed.failure.stage == "validate"
+    assert failed.fallback == fallback
+    # The vector batch's rows are journaled first, in one commit; the
+    # rejected point finishes on the scalar path after them.
+    order = [0, 1, 2, 3, 4, 5] if backend == "scalar" else [0, 1, 2, 4, 5, 3]
+    assert [e.point for e in load_journal(path)] == [points[i] for i in order]
+
+
+def test_a_strict_raise_mid_batch_keeps_the_rows_before_it(
+    monkeypatch, tmp_path
+):
+    points = full_grid()[:6]
+    _reject_one(monkeypatch, points[3])
+    path = tmp_path / "sweep.jsonl"
+    with pytest.raises(NumericalError, match="injected"):
+        run_sweep(points, backend="vector", strict=True, journal_path=path)
+    assert [e.point for e in load_journal(path)] == points[:3]

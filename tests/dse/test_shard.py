@@ -497,6 +497,32 @@ def test_cli_merge_writes_resumable_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_merge_commits_the_merged_rows_once(
+    tmp_path, capsys, monkeypatch
+):
+    manifest = build_manifest(POINTS, 2)
+    path = str(tmp_path / "m.json")
+    manifest.write(path)
+    _fill_shard(manifest, tmp_path, 0)
+    _fill_shard(manifest, tmp_path, 1)
+    merged = str(tmp_path / "merged.jsonl")
+    commits = []
+    fsync = os.fsync
+
+    def counted(fd):
+        if os.path.exists(merged) and os.path.samestat(
+            os.fstat(fd), os.stat(merged)
+        ):
+            commits.append(fd)
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    assert main(["merge", "--manifest", path, "--output", merged]) == 0
+    assert len(commits) == 2  # the header, then every merged row
+    assert len(load_journal(merged)) == len(POINTS)
+    capsys.readouterr()
+
+
 # -- the SIGKILL drill ----------------------------------------------------------
 
 
