@@ -328,7 +328,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     chip = point.build()
     ctx = _context(args)
     graph = _WORKLOADS[args.workload]()
-    result = Simulator(chip, ctx).run(graph, args.batch)
+    result = Simulator(chip, ctx).run(
+        graph, args.batch, per_layer=bool(args.bounds)
+    )
     power = runtime_power(chip, ctx, result.activity)
     print(
         f"{graph.name} x{args.batch} on {point.label()} "

@@ -126,7 +126,7 @@ def evaluate_edge_point(
     """Model + simulate one edge point at batch 1."""
     ctx = ctx if ctx is not None else edge_context()
     chip = edge_design_point(tu_length, tus_per_core, cores_x, cores_y)
-    result = Simulator(chip, ctx).run(workload, batch=1)
+    result = Simulator(chip, ctx).run(workload, batch=1, per_layer=False)
     power = runtime_power(chip, ctx, result.activity).total_w
     return EdgePointResult(
         label=f"({tu_length},{tus_per_core},{cores_x},{cores_y})",

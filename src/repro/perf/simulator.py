@@ -20,6 +20,16 @@ value one layer hands the next, is a segmented scan.  The vector backend
 Every count is an integer-valued float64, exact below 2**53; the walk
 refuses a graph or batch whose counts reach it.
 
+The networks are stacks of repeated cells, and the fusion credit never
+leaves a GEMM group (a GEMM and the vector layers up to the next one),
+so a group's values depend only on its layers' fields.  The walk visits
+each distinct group once and weights its sums by how often the group
+occurs: NASNet-A's 266 groups are 72 distinct ones.  Every weighted
+term is a non-negative integer no larger than its total, so when the
+totals pass the 2**53 check the sums equal the per-layer ones bit for
+bit.  Per-layer values are walked per distinct layer and gathered back
+into graph order.
+
 A block's temporaries are freed before the next block makes its own, and
 glibc gives the freed top of the heap back to the OS once it passes its
 trim threshold, so every block would fault the same pages in again.  The
@@ -32,6 +42,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -314,42 +325,73 @@ def _column(layers, *names: str, dtype=np.float64) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 1, 1)
 
 
+#: A layer's walked fields: every :class:`LayerSpec` field but ``name``.
+_WALKED = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(LayerSpec) if f.name != "name")
+)
+
+
 class _LayerTables:
     """A spec's layers as the walk's columns, built once per spec.
 
-    The GEMM layers and the vector layers form two tables of per-layer
-    constants, each column shaped ``(layers, 1, 1)`` so it broadcasts
-    over a ``(rows, points)`` grid of batch sizes and design points.
-    ``gemm_at``/``vector_at`` give each table row's position in the
-    graph.
-
     The layers fall into groups: a GEMM and the vector layers up to the
     next GEMM (the first group also holds any vector layers before the
-    first GEMM).  ``cuts`` holds, at every group boundary, how many
-    layers, GEMM rows, vector rows and scan rows precede it.  The scan
-    rows (``scan``, vector-table rows) are the fusable layers that drain
-    through their group's GEMM (``scan_gemm``, a GEMM-table row): a GEMM
-    opens a run of them and a non-fusable vector layer closes it;
-    ``scan_start`` is the scan row that opens each one's run.
+    first GEMM).  The fusion credit never leaves its group, so a group's
+    values depend only on its layers' walked fields (every
+    :class:`LayerSpec` field but ``name``).  The tables keep each
+    distinct group once, in order of first appearance, and weight its
+    layers' sums by how often it occurs; ``layer_index`` gives each
+    graph layer's row among these walked layers.
+
+    The walked GEMM layers and vector layers form two tables of
+    per-layer constants, each column shaped ``(layers, 1, 1)`` so it
+    broadcasts over a ``(rows, points)`` grid of batch sizes and design
+    points.  ``gemm_at``/``vector_at`` give each table row's position
+    among the walked layers, and ``gemm_count``/``vector_count`` (flat)
+    its group's count.  ``cuts`` holds, at every walked group boundary,
+    how many walked layers, GEMM rows, vector rows and scan rows precede
+    it.
+    The scan rows (``scan``, vector-table rows) are the fusable layers
+    that drain through their group's GEMM (``scan_gemm``, a GEMM-table
+    row): a GEMM opens a run of them and a non-fusable vector layer
+    closes it; ``scan_start`` is the scan row that opens each one's run.
     """
 
     def __init__(self, spec: "GraphSpec"):
+        firsts = [at for at, layer in enumerate(spec.layers) if layer.has_gemm]
+        edges = [0, *firsts[1:], len(spec.layers)]
+        distinct: dict = {}  # walked fields -> [first walked row, count]
+        walked: List[LayerSpec] = []
+        layer_index: List[int] = []
+        for lo, hi in zip(edges, edges[1:]):
+            group = spec.layers[lo:hi]
+            key = tuple(map(_WALKED, group))
+            seen = distinct.setdefault(key, [len(walked), 0])
+            if not seen[1]:
+                walked.extend(group)
+            seen[1] += 1
+            layer_index.extend(range(seen[0], seen[0] + hi - lo))
+        counts = [count for _, count in distinct.values()]
+
         gemms: List[LayerSpec] = []
         vectors: List[LayerSpec] = []
         gemm_at: List[int] = []
         vector_at: List[int] = []
+        gemm_count: List[int] = []
+        vector_count: List[int] = []
         scan: List[int] = []
         scan_gemm: List[int] = []
         scan_start: List[int] = []
         cuts = [(0, 0, 0, 0)]
         run: Optional[int] = None  # the open run's first scan row
-        for position, layer in enumerate(spec.layers):
+        for position, layer in enumerate(walked):
             if layer.has_gemm:
                 if gemms:
                     cuts.append(
                         (position, len(gemms), len(vectors), len(scan))
                     )
                 gemm_at.append(position)
+                gemm_count.append(counts[len(cuts) - 1])
                 gemms.append(layer)
                 run = len(scan)
                 continue
@@ -360,14 +402,16 @@ class _LayerTables:
                 scan_gemm.append(len(gemms) - 1)
                 scan_start.append(run)
             vector_at.append(position)
+            vector_count.append(counts[len(cuts) - 1])
             vectors.append(layer)
-        if spec.layers:
-            cuts.append(
-                (len(spec.layers), len(gemms), len(vectors), len(scan))
-            )
+        if walked:
+            cuts.append((len(walked), len(gemms), len(vectors), len(scan)))
 
         self.params_bytes = spec.total_params_bytes
+        self.walked = len(walked)
+        self.layer_index = np.array(layer_index, dtype=np.intp)
         self.gemm_at = np.array(gemm_at, dtype=np.intp)
+        self.gemm_count = np.array(gemm_count, dtype=np.float64)
         self.gemm_m = _column(gemms, "gemm_m")
         self.gemm_k = _column(gemms, "gemm_k")
         self.gemm_n = _column(gemms, "gemm_n")
@@ -378,6 +422,7 @@ class _LayerTables:
         self.gemm_params = _column(gemms, "params_bytes")
 
         self.vector_at = np.array(vector_at, dtype=np.intp)
+        self.vector_count = np.array(vector_count, dtype=np.float64)
         self.vector_ops = _column(vectors, "vector_ops")
         self.vector_simd = _column(vectors, "simd")
         self.vector_launch = _column(vectors, "pays_launch")
@@ -386,10 +431,17 @@ class _LayerTables:
         self.vector_writes = _column(vectors, "output_bytes")
         self.vector_params = _column(vectors, "params_bytes")
 
-        # Per-sample sums whose batch-scaled totals need no per-point work.
+        # Per-sample sums over the whole graph whose batch-scaled totals
+        # need no per-point work.
         self.vector_ops_total = sum(layer.vector_ops for layer in spec.layers)
-        self.reads_total = self.vector_reads.sum()
-        self.writes_total = self.vector_writes.sum()
+        self.reads_total = sum(
+            layer.input_bytes + layer.params_bytes
+            for layer in spec.layers
+            if not layer.has_gemm
+        )
+        self.writes_total = sum(
+            layer.output_bytes for layer in spec.layers if not layer.has_gemm
+        )
 
         self.scan = np.array(scan, dtype=np.intp)
         self.scan_gemm = np.array(scan_gemm, dtype=np.intp)
@@ -519,7 +571,7 @@ def walk_graph(
     cap = max(1, _BLOCK_ELEMENTS // (rows * step))
     keep = None
     if per_layer:
-        grid = (len(spec.layers), rows, points)
+        grid = (tables.walked, rows, points)
         keep = {
             "layer_cycles": np.empty(grid),
             "layer_bound": np.empty(grid, dtype=np.intp),
@@ -587,7 +639,9 @@ def walk_graph(
         "offchip_gbps": offchip / window / GIGA,
     }
     if keep is not None:
-        out.update(keep)
+        out.update(
+            (name, values[tables.layer_index]) for name, values in keep.items()
+        )
     return out
 
 
@@ -600,12 +654,13 @@ def _walk_points(
     keep: Optional[dict],
     columns: slice,
 ) -> dict:
-    """Walk every block of ``cap`` layers over one slice of points.
+    """Walk every block of ``cap`` walked layers over one slice of points.
 
-    Returns the sums over layers, each shaped ``(rows, points)``, and
-    writes per-layer values into ``keep``'s ``columns`` when ``keep`` is
-    a dict.  Each block's arrays live only inside the helpers that make
-    them, so they are freed before the next block's are made.
+    Returns the sums over the graph's layers, each shaped ``(rows,
+    points)``: each walked layer's values weighted by its group's count.
+    Writes per-walked-layer values into ``keep``'s ``columns`` when
+    ``keep`` is a dict.  Each block's arrays live only inside the helpers
+    that make them, so they are freed before the next block's are made.
     """
     gemm_m = tables.gemm_m * batch
     gemm_k = tables.gemm_k
@@ -650,6 +705,11 @@ def _walk_points(
     pointwise_lanes = np.maximum(lanes * _POINTWISE_SIMD, 1)
     launch = opt.layer_launch_cycles
 
+    def add(name: str, values, count: np.ndarray) -> None:
+        """Add ``values``, one row per walked layer, to the sum ``name``,
+        each row ``count`` times (its group's count)."""
+        sums[name] += np.einsum("l...,l->...", values, count)
+
     def gemm_bounds(g: slice) -> tuple:
         """Map GEMM rows ``g``, add their traffic to the sums, and return
         their bounds."""
@@ -659,14 +719,15 @@ def _walk_points(
         merge = mapping.merge_vector_ops
         own_ops = tables.gemm_vector_ops[g] * batch
         spill = offchip_bytes(tables.gemm_params[g], tables.gemm_io[g])
-        sums["macs"] += mapping.useful_macs.sum(axis=0)
-        sums["occupied"] += mapping.occupied_mac_cycles.sum(axis=0)
+        count = tables.gemm_count[g]
+        add("macs", mapping.useful_macs, count)
+        add("occupied", mapping.occupied_mac_cycles, count)
         if np.ndim(merge):  # output stationary merges nothing: 0
-            sums["merge_ops"] += merge.sum(axis=0)
-        sums["reads"] += mapping.mem_read_bytes.sum(axis=0)
-        sums["writes"] += mapping.mem_write_bytes.sum(axis=0)
-        sums["noc"] += mapping.noc_bytes.sum(axis=0)
-        sums["offchip"] += spill.sum(axis=0)
+            add("merge_ops", merge, count)
+        add("reads", mapping.mem_read_bytes, count)
+        add("writes", mapping.mem_write_bytes, count)
+        add("noc", mapping.noc_bytes, count)
+        add("offchip", spill, count)
         if keep is not None:
             at = tables.gemm_at[g]
             keep["layer_vector_ops"][at, :, columns] = own_ops + merge
@@ -685,7 +746,7 @@ def _walk_points(
         bounds = gemm_bounds(g)
         cycles = _overlap(bounds, opt, compute=True) + launch
         credit = np.maximum(0, cycles - bounds[1])
-        finish(cycles, bounds, tables.gemm_at[g])
+        finish(cycles, bounds, tables.gemm_at[g], tables.gemm_count[g])
         return credit
 
     def vector_layers(v: slice, s: slice, g0: int, credit) -> None:
@@ -704,8 +765,9 @@ def _walk_points(
             before -= before[tables.scan_start[s] - s.start]
             left = np.maximum(0, credit[tables.scan_gemm[s] - g0] - before)
             vu[at] = fused - np.minimum(fused, left)
+        count = tables.vector_count[v]
         spill = offchip_bytes(tables.vector_params[v], tables.vector_io[v])
-        sums["offchip"] += spill.sum(axis=0)
+        add("offchip", spill, count)
         bounds = (
             vu,
             read.cycles(tables.vector_reads[v] * batch),
@@ -718,14 +780,14 @@ def _walk_points(
             _overlap(bounds, opt, compute=False)
             + tables.vector_launch[v] * launch
         )
-        finish(cycles, bounds, tables.vector_at[v])
+        finish(cycles, bounds, tables.vector_at[v], count)
         if keep is not None:
             keep["layer_vector_ops"][tables.vector_at[v], :, columns] = own_ops
 
-    def finish(cycles, bounds: tuple, at: np.ndarray) -> None:
+    def finish(cycles, bounds: tuple, at: np.ndarray, count) -> None:
         """Add the layers' cycles (at least 1 each) to the sums."""
         cycles = np.maximum(cycles, 1)
-        sums["cycles"] += cycles.sum(axis=0)
+        add("cycles", cycles, count)
         if keep is not None:
             keep["layer_cycles"][at, :, columns] = cycles
             keep["layer_bound"][at, :, columns] = _first_max(bounds)

@@ -11,7 +11,10 @@ flattened ``GraphSpec``, memoized on the graph, so evaluating a second
 design point never costs a layer again.  Nor does a second vector
 estimate of the Table I points build a chip: preset points take their
 per-point values from the preset's rule.  The scalar path keeps no
-per-layer record it would drop.  A journaled ``auto`` sweep commits a
+per-layer record it would drop, and neither do the edge sweep and
+``neurometer simulate`` without ``--bounds``.  The walk visits each
+distinct GEMM group of a workload once: the three paper workloads' 415
+GEMM layers are 150 distinct ones.  A journaled ``auto`` sweep commits a
 vector batch's rows with one fsync, and a repeat walk finds its heap
 still mapped instead of faulting it back in.
 """
@@ -34,9 +37,16 @@ from repro.config.presets import datacenter_context
 from repro.dse.engine import run_sweep
 from repro.dse.journal import load_journal
 from repro.dse.space import DesignPoint, full_grid
+from repro.dse.edge import edge_sweep
 from repro.dse.sweep import evaluate_point
 from repro.perf.graph import LayerNode
-from repro.perf.simulator import BATCH_CANDIDATES, LayerSpec, Simulator
+from repro.perf.optimizations import OptimizationConfig
+from repro.perf.simulator import (
+    BATCH_CANDIDATES,
+    GraphSpec,
+    LayerSpec,
+    Simulator,
+)
 from repro.workloads import (
     inception_v3,
     mobilenet_v2,
@@ -119,6 +129,47 @@ def test_one_point_estimate_maps_each_workload_once(monkeypatch):
         )
     assert result.fallback_reasons == {}
     assert len(calls) == 3
+
+
+def test_one_point_estimate_maps_each_distinct_gemm_once(monkeypatch):
+    rows = []
+    map_gemm_dims = simulator.map_gemm_dims
+
+    def counted(m, *args):
+        rows.append(len(m))
+        return map_gemm_dims(m, *args)
+
+    monkeypatch.setattr(simulator, "map_gemm_dims", counted)
+    with estimate_cache_disabled():
+        result = BatchEstimator(datacenter_context()).estimate_points(
+            [DesignPoint(64, 2, 2, 4)],
+            workloads=_fig10_workloads(),
+            batches=(1,),
+        )
+    assert result.fallback_reasons == {}
+    assert (len(rows), sum(rows)) == (3, 150)
+
+
+def test_nasnet_tables_hold_each_distinct_group_once():
+    spec = GraphSpec.of(nasnet_a_large(), OptimizationConfig.all_on())
+    tables = spec.tables
+    assert (len(tables.gemm_at), tables.walked) == (72, 251)
+    assert tables.gemm_count.sum() == 266
+    assert len(tables.layer_index) == len(spec.layers) == 844
+
+
+def test_edge_and_cli_walks_build_no_layer_record(monkeypatch, capsys):
+    from repro.cli import main
+
+    records = _count_calls(monkeypatch, simulator, "LayerTiming")
+    results = edge_sweep(mobilenet_v2())
+    assert results
+    assert len(records) == 0
+    assert main(["simulate", "--workload", "resnet"]) == 0
+    assert len(records) == 0
+    assert main(["simulate", "--workload", "resnet", "--bounds", "3"]) == 0
+    assert "dominant bound" in capsys.readouterr().out
+    assert len(records) == 121
 
 
 def test_scalar_run_maps_its_gemm_layers_in_one_call(monkeypatch):

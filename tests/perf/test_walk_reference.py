@@ -20,7 +20,12 @@ same, so:
   one;
 * a long fusable chain after a GEMM with a non-fusable vector layer in
   it, where only the segmented scan decides the cycles;
-* the zero-bandwidth refusal raises the loop's error.
+* the zero-bandwidth refusal raises the loop's error;
+* repeated GEMM groups, walked once and weighted by their count: a cell
+  repeated under new layer names beside near-twin cells that each differ
+  in one walked field, a graph with no GEMM and one that opens with a
+  GEMM, with every ``LayerTiming`` named in graph order;
+* ``neurometer simulate --bounds`` prints the loop's bottleneck report.
 """
 
 from __future__ import annotations
@@ -109,6 +114,9 @@ def _assert_runs_match(simulator_, graph, batch):
     got = simulator_.run(graph, batch)
     want = reference.reference_run(simulator_, graph, batch)
     assert _fingerprint(got) == _fingerprint(want), (graph.name, batch)
+    assert [layer.name for layer in got.layers] == [
+        layer.name for layer in graph
+    ]
 
 
 def test_table1_at_the_fig10_batches(vector_walks, graphs):
@@ -196,7 +204,8 @@ def test_both_optimization_presets(opt, dataflow, graphs):
     points = full_grid()[::7] + _expanded_sample(6, seed=7)
     arch, batch = _grid_arch(points)
     arch = dataclasses.replace(arch, dataflow=dataflow)
-    for graph in graphs.values():
+    walked = (*graphs.values(), _repeated_cells(), _vector_only())
+    for graph in walked:
         spec = GraphSpec.of(graph, OPTS[opt])
         _assert_walks_match(spec, arch, batch, OPTS[opt])
     ctx = datacenter_context()
@@ -205,7 +214,7 @@ def test_both_optimization_presets(opt, dataflow, graphs):
         simulator_.arch = dataclasses.replace(
             simulator_.arch, dataflow=dataflow
         )
-        for graph in graphs.values():
+        for graph in walked:
             for batch_size in (1, 256):
                 _assert_runs_match(simulator_, graph, batch_size)
 
@@ -357,3 +366,146 @@ def test_a_zero_bandwidth_path_without_traffic_runs(graphs):
     simulator_ = Simulator(chip, datacenter_context())
     assert simulator_.arch.noc_gbps == 0.0
     _assert_runs_match(simulator_, graphs["ResNet"], 16)
+
+
+#: The layers of one cell, after its name.
+_CELL = ("conv", "scale", "relu", "pool", "relu2")
+
+#: Each near-twin cell: the layers it swaps in, and the walked fields in
+#: which its layers' specs then differ from the repeated cell's.  A 1x1
+#: pool for the pointwise scale flips ``fusable``, and with it
+#: ``pays_launch``, which the flattener derives from it.
+_TWINS = {
+    "weightless": (
+        {"conv": Conv2d(32, kernel=3, weightless=True)}, {"params_bytes"}
+    ),
+    "two_input": ({"scale": Elementwise()}, {"input_bytes"}),
+    "pooled": (
+        {"scale": Pool(kernel=1, stride=1)}, {"fusable", "pays_launch"}
+    ),
+}
+
+#: The cells in graph order; ``cell*`` are the repeats.
+_CELLS = (
+    "cell0", "cell1", "weightless", "cell2", "two_input", "pooled", "cell3"
+)
+
+
+def _add_cell(graph: Graph, name: str, conv=None, scale=None) -> None:
+    """A 3x3 conv, a pointwise scale and a ReLU that drain through it, a
+    pool that closes the fusable run, and a ReLU after it."""
+    previous = graph.output.name
+    graph.add(f"{name}.conv", conv or Conv2d(32, kernel=3), [previous])
+    scale = scale or Activation(ops_per_element=1)
+    inputs = [f"{name}.conv"]
+    if isinstance(scale, Elementwise):
+        inputs.append(previous)
+    graph.add(f"{name}.scale", scale, inputs)
+    graph.add(f"{name}.relu", Activation())
+    graph.add(f"{name}.pool", Pool(kernel=3, stride=1))
+    graph.add(f"{name}.relu2", Activation())
+
+
+def _repeated_cells() -> Graph:
+    """A cell repeated under new layer names, beside near-twin groups.
+
+    The graph opens with the repeated cell (its first group is a repeat
+    too), and the twins of ``_TWINS`` sit between the repeats.  Then a
+    space-to-depth stem (a stride-2 conv on 4 channels) and a 1x1 conv
+    on 16 channels with the same GEMM dims and byte counts, each with a
+    ReLU: under ``all_on`` only the stem folds, so the two groups differ
+    in ``space_to_depth`` alone; under ``all_off`` they are one group.
+    """
+    graph = Graph("repeated-cells", (8, 8, 32))
+    for name in _CELLS:
+        _add_cell(graph, name, **_TWINS.get(name, ({}, None))[0])
+    graph.add("narrow4", Conv2d(4, kernel=1))
+    graph.add("stem", Conv2d(32, kernel=2, stride=2, same_pad=False))
+    graph.add("stem.relu", Activation())
+    graph.add("narrow16", Conv2d(16, kernel=1))
+    graph.add("flat", Conv2d(32, kernel=1))
+    graph.add("flat.relu", Activation())
+    graph.add("head", Conv2d(64, kernel=1))
+    graph.add("gap", GlobalPool())
+    graph.add("fc", MatMul(10))
+    return graph
+
+
+def _vector_only() -> Graph:
+    """No GEMM at all: the whole graph is one group of vector layers."""
+    graph = Graph("vector-only", (16, 16, 8))
+    graph.add("relu0", Activation())
+    graph.add("pool0", Pool(kernel=3, stride=1))
+    graph.add("relu1", Activation())
+    graph.add("pool1", Pool(kernel=3, stride=1))
+    graph.add("dw", DepthwiseConv2d(kernel=3))
+    graph.add("add", Elementwise(), ["dw", "relu1"])
+    graph.add("gap", GlobalPool())
+    return graph
+
+
+def _differing(a, b) -> set:
+    """The walked fields in which two layer specs differ."""
+    return {
+        f.name
+        for f in dataclasses.fields(a)
+        if f.name != "name" and getattr(a, f.name) != getattr(b, f.name)
+    }
+
+
+@pytest.mark.parametrize("opt", sorted(OPTS))
+def test_repeated_groups_are_walked_once(opt):
+    spec = GraphSpec.of(_repeated_cells(), OPTS[opt])
+    tables = spec.tables
+    names = [layer.name for layer in spec.layers]
+    row = dict(zip(names, tables.layer_index.tolist()))
+    layer = dict(zip(names, spec.layers))
+
+    def cell(name):
+        return [row[f"{name}.{part}"] for part in _CELL]
+
+    assert cell("cell0") == cell("cell1") == cell("cell2") == cell("cell3")
+    conv = tables.gemm_at.tolist().index(row["cell0.conv"])
+    assert tables.gemm_count[conv] == 4
+    for twin, (_, fields) in _TWINS.items():
+        assert cell(twin) != cell("cell0"), twin
+        assert set().union(
+            *(
+                _differing(layer[f"{twin}.{part}"], layer[f"cell0.{part}"])
+                for part in _CELL
+            )
+        ) == fields
+    folded = opt == "all_on"
+    assert _differing(layer["stem"], layer["flat"]) == (
+        {"space_to_depth"} if folded else set()
+    )
+    assert _differing(layer["stem.relu"], layer["flat.relu"]) == set()
+    assert (row["stem"] != row["flat"]) == folded
+    repeats = 3 * len(_CELL) + (0 if folded else 2)
+    assert tables.walked == len(spec.layers) - repeats
+    assert sorted(set(tables.layer_index.tolist())) == list(
+        range(tables.walked)
+    )
+    assert tables.gemm_count.sum() == sum(l.has_gemm for l in spec.layers)
+
+
+def test_graphs_open_with_a_gemm_and_without_one():
+    opens = GraphSpec.of(_repeated_cells(), OPTS["all_on"])
+    assert opens.layers[0].has_gemm
+    vector_only = GraphSpec.of(_vector_only(), OPTS["all_on"])
+    assert not any(layer.has_gemm for layer in vector_only.layers)
+    assert vector_only.tables.walked == len(vector_only.layers)
+    assert len(vector_only.tables.gemm_at) == 0
+
+
+def test_simulate_bound_report_is_the_loops(capsys):
+    from repro.cli import main
+    from repro.perf.bound_analysis import bound_report
+
+    args = ["--workload", "nasnet", "--batch", "8", "--point", "32,2,2,2"]
+    assert main(["simulate", *args, "--bounds", "12"]) == 0
+    out = capsys.readouterr().out
+    chip = DesignPoint(32, 2, 2, 2).build()
+    simulator_ = Simulator(chip, datacenter_context())
+    want = reference.reference_run(simulator_, nasnet_a_large(), 8)
+    assert out.endswith("\n" + bound_report(want, top=12) + "\n")
