@@ -128,14 +128,14 @@ def stable_hash(*parts: Any) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-#: Short-digest length used in manifests and human-facing filenames.
+#: Short-digest length used in journal stamps and human-facing filenames.
 SHORT_DIGEST_LEN = 16
 
 
 def short_hash(*parts: Any, length: int = SHORT_DIGEST_LEN) -> str:
-    """A truncated :func:`stable_hash`, for manifests and filenames.
+    """A truncated :func:`stable_hash`, for journal stamps and filenames.
 
-    16 hex chars (64 bits) keeps shard manifests and their derived
+    16 hex chars (64 bits) keeps journal stamps and derived
     filenames readable while leaving collision odds negligible at the
     scale of sweeps per repository; the full digest remains available
     where keys index unbounded caches.

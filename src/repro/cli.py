@@ -6,9 +6,7 @@ Drives the most common flows without writing Python::
     neurometer validate                           # Figs. 3-5 validation
     neurometer simulate --workload resnet --batch 8 --point 64,2,2,4
     neurometer dse --batch 1                      # Sec. III key points
-    neurometer dse --full-grid --write-manifest m.json --shards 3
-    neurometer dse --manifest m.json --shard 1/3  # crash-safe shard worker
-    neurometer merge --manifest m.json            # verified shard merge
+    neurometer dse --full-grid --journal j.jsonl  # crash-safe, resumable
     neurometer sparsity                           # Fig. 11 table
     neurometer doctor                             # integrity self-check
     neurometer lint src --baseline lint_baseline.json   # static analysis
@@ -19,7 +17,6 @@ Drives the most common flows without writing Python::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -357,134 +354,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    """Parse a 1-based ``i/n`` shard spec into ``(index, count)``."""
-    try:
-        raw_index, raw_count = str(text).split("/")
-        index, count = int(raw_index), int(raw_count)
-    except (TypeError, ValueError) as error:
-        raise NeuroMeterError(
-            f"--shard takes a 1-based 'i/n' spec (e.g. 2/3), got {text!r}"
-        ) from error
-    if count < 1 or not 1 <= index <= count:
-        raise NeuroMeterError(
-            f"shard spec out of range: {index}/{count}"
-        )
-    return index - 1, count
-
-
-def _shard_journal_dir(args: argparse.Namespace) -> str:
-    """Shard journals default to the manifest's own directory."""
-    if getattr(args, "journal_dir", None):
-        return args.journal_dir
-    return os.path.dirname(os.path.abspath(args.manifest)) or "."
-
-
-def _dse_write_manifest(args: argparse.Namespace, points) -> int:
-    from repro.dse.shard import build_manifest
-
-    manifest = build_manifest(
-        points,
-        args.shards,
-        workloads=list(_WORKLOADS),
-        batches=[args.batch],
-    )
-    path = manifest.write(args.write_manifest)
-    print(
-        f"wrote manifest {path}: {len(points)} point(s) in "
-        f"{args.shards} shard(s), sweep digest {manifest.sweep_digest}"
-    )
-    return 0
-
-
-def _dse_run_shard(args: argparse.Namespace) -> int:
-    from repro.dse.shard import ShardManifest, run_shard
-
-    index, count = _parse_shard(args.shard)
-    manifest = ShardManifest.load(args.manifest)
-    if count != manifest.shard_count:
-        raise NeuroMeterError(
-            f"--shard says {count} shard(s) but the manifest has "
-            f"{manifest.shard_count}; re-check which manifest this "
-            "worker was pointed at"
-        )
-    if args.journal or args.resume:
-        raise NeuroMeterError(
-            "--journal/--resume do not combine with --manifest: shard "
-            "journals are named by the manifest and always resume"
-        )
-    _apply_cache_flags(args)
-    journal_dir = _shard_journal_dir(args)
-    report = run_shard(
-        manifest,
-        index,
-        journal_dir,
-        backend=args.backend,
-        jobs=args.jobs,
-        timeout_s=args.timeout_s,
-        chunk_size=args.chunk_size,
-        stale_after_s=args.stale_after_s,
-    )
-    print(f"shard {index + 1}/{count}: {report.summary()}")
-    _print_failures(report.failures)
-    _print_fallback_totals(report.fallback_totals())
-    _print_cache_stats(args, report.cache_totals())
-    if report.cancelled:
-        print("error: shard run was cancelled before finishing",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    """Merge shard journals into one verified report (see _cmd_dse)."""
-    from repro.dse.shard import merge_journals, shard_status, ShardManifest
-
-    manifest = ShardManifest.load(args.manifest)
-    journal_dir = _shard_journal_dir(args)
-    # Divergent duplicates (InvariantViolation) and digest mismatches
-    # (ConfigurationError) propagate to main() -> exit 2.
-    outcome = merge_journals(
-        manifest, journal_dir, salvage=not args.strict
-    )
-    rows = [
-        [str(row["shard"]), row["state"], str(row["finished"]),
-         str(row["expected"])]
-        for row in shard_status(manifest, journal_dir)
-    ]
-    print(format_table(["shard", "state", "finished", "expected"], rows),
-          file=sys.stderr)
-    print(outcome.summary())
-    if args.output:
-        _write_merged_journal(manifest, outcome, args.output)
-        print(f"wrote merged journal {args.output}")
-    if outcome.missing:
-        shown = ", ".join(p.label() for p in outcome.missing[:8])
-        more = len(outcome.missing) - 8
-        suffix = f" (+{more} more)" if more > 0 else ""
-        print(
-            f"error: {len(outcome.missing)} manifest point(s) have no "
-            f"journaled result: {shown}{suffix}; re-run the incomplete "
-            "shards against the manifest",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
-def _write_merged_journal(manifest, outcome, path: str) -> None:
-    """Re-journal the merged records as one resumable JSONL file."""
-    from repro.dse.journal import Journal
-
-    meta = {"sweep_digest": manifest.sweep_digest, "merged": True}
-    if outcome.recipe is not None:
-        meta["recipe"] = outcome.recipe
-    with Journal(path, meta=meta) as journal:
-        journal.append(
-            *(record.journal_entry() for record in outcome.report.records)
-        )
-
-
 def _cmd_dse(args: argparse.Namespace) -> int:
     if args.expanded_space and args.strategy != "surrogate":
         # Only the surrogate search navigates the expanded space; the
@@ -507,17 +376,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         points = full_grid()
     if args.point:
         points = [_parse_point(text) for text in args.point]
-    if args.write_manifest:
-        return _dse_write_manifest(args, points)
-    if args.shard and not args.manifest:
-        raise NeuroMeterError("--shard requires --manifest PATH")
-    if args.manifest:
-        if not args.shard:
-            raise NeuroMeterError(
-                "--manifest requires --shard i/n (which slice of the "
-                "manifest this worker should claim)"
-            )
-        return _dse_run_shard(args)
     if getattr(args, "remote", None):
         return _remote_dse(args, points)
     if args.strategy == "surrogate":
@@ -1125,91 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
         "expanded design space instead of an enumerated grid "
         "(mutation/crossover over the axes; see docs/dse_surrogate.md)",
     )
-    dse.add_argument(
-        "--write-manifest",
-        default=None,
-        dest="write_manifest",
-        metavar="PATH",
-        help="do not sweep: partition the selected points into "
-        "--shards crash-safe shards and write the content-addressed "
-        "manifest to PATH (see docs/robust_sweeps.md)",
-    )
-    dse.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard count for --write-manifest (default 1)",
-    )
-    dse.add_argument(
-        "--manifest",
-        default=None,
-        metavar="PATH",
-        help="run as a shard worker of this manifest (with --shard); "
-        "the shard journal and lease live next to the manifest unless "
-        "--journal-dir overrides",
-    )
-    dse.add_argument(
-        "--shard",
-        default=None,
-        metavar="I/N",
-        help="which shard of --manifest to claim, 1-based (e.g. 2/3); "
-        "an abandoned shard is reclaimed and resumed from its journal",
-    )
-    dse.add_argument(
-        "--journal-dir",
-        default=None,
-        dest="journal_dir",
-        metavar="DIR",
-        help="directory holding the shard journals and leases "
-        "(default: the manifest's directory)",
-    )
-    dse.add_argument(
-        "--stale-after-s",
-        type=float,
-        default=60.0,
-        dest="stale_after_s",
-        metavar="SECONDS",
-        help="a shard lease whose heartbeat is older than this is "
-        "considered abandoned and reclaimed (default 60)",
-    )
     _add_engine_arguments(dse)
     _add_search_arguments(dse)
     dse.set_defaults(handler=_cmd_dse)
-
-    merge = commands.add_parser(
-        "merge",
-        help="merge shard sweep journals into one verified report "
-        "(exit 2 on missing points or cross-shard divergence)",
-    )
-    merge.add_argument(
-        "--manifest",
-        required=True,
-        metavar="PATH",
-        help="the shard manifest the journals were executed against",
-    )
-    merge.add_argument(
-        "--journal-dir",
-        default=None,
-        dest="journal_dir",
-        metavar="DIR",
-        help="directory holding the shard journals "
-        "(default: the manifest's directory)",
-    )
-    merge.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the merged records as one resumable JSONL "
-        "journal at PATH",
-    )
-    merge.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on corrupt mid-journal lines instead of salvaging "
-        "around them",
-    )
-    merge.set_defaults(handler=_cmd_merge)
 
     serve = commands.add_parser(
         "serve",

@@ -319,8 +319,8 @@ def record_from_journal_entry(entry: JournalEntry) -> PointRecord:
     """Rehydrate one journaled entry into a ``from_journal`` record.
 
     Carries the full per-point surface — metrics, structured failure,
-    cache counters, and fallback reason — so journal-resumed and
-    shard-merged records aggregate exactly like freshly evaluated ones.
+    cache counters, and fallback reason — so journal-resumed records
+    aggregate exactly like freshly evaluated ones.
     """
     return PointRecord(
         point=entry.point,
@@ -387,19 +387,15 @@ class SweepReport:
                 totals[record.fallback] = totals.get(record.fallback, 0) + 1
         return totals
 
-    def cache_totals(self, include_journal: bool = False) -> dict:
+    def cache_totals(self) -> dict:
         """Estimate-cache counters summed over the points this run evaluated.
 
         Journal-rehydrated points did no modeling work in this run and
-        are excluded by default.  A shard *merge* rebuilds its whole
-        report from journals, where every point's counters are
-        journal-carried — ``include_journal=True`` sums those too so
-        cross-shard cache totals aggregate correctly.  Empty when the
-        cache was disabled throughout.
+        are excluded.  Empty when the cache was disabled throughout.
         """
         totals = _Totals()
         for record in self.records:
-            if include_journal or not record.from_journal:
+            if not record.from_journal:
                 totals.add(record.cache)
         return totals.counters
 
@@ -1208,8 +1204,9 @@ def run_sweep(
             rehydrate their journaled metrics; the journal's stamps must
             match this run's.
         journal_meta: Extra dict folded into a *newly created* journal's
-            header line (shard workers stamp the sweep digest and shard
-            coordinates; see :mod:`repro.dse.shard`).
+            header line (``optimize_design`` stamps the grid's
+            :func:`~repro.dse.journal.sweep_digest`, a surrogate search
+            its search digest).
         latency_slo_ms: SLO for ``"latency-bound"`` batch specs.
         on_record: Progress callback invoked with each final
             :class:`PointRecord`, once the record is journaled.

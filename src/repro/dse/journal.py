@@ -58,11 +58,10 @@ JOURNAL_VERSION = 1
 STATUSES = ("ok", "degraded", "failed")
 
 #: Header ``meta`` keys that decide whether a journal's rows answer a
-#: caller.  A resume, a shard worker and a shard merge refuse a journal
-#: whose header holds one of these with another value.  Other meta keys
-#: (a shard count, a search's seed) only describe the file: a
-#: re-partitioned sweep still resumes its earlier shards.
-STAMPS = ("recipe", "sweep_digest", "search_digest", "shard")
+#: caller.  A resume refuses a journal whose header holds one of these
+#: with another value.  Other meta keys (a search's seed, or keys that
+#: older versions wrote) only describe the file.
+STAMPS = ("recipe", "sweep_digest", "search_digest")
 
 
 def recipe_digest(
@@ -89,17 +88,29 @@ def recipe_digest(
     )
 
 
-def check_stamps(
-    path: str | os.PathLike,
-    stamps: dict,
-    required: Sequence[str] = (),
-) -> dict:
+def sweep_digest(
+    points: Sequence[DesignPoint],
+    workloads: Sequence[str] = (),
+    batches: Sequence[object] = (),
+) -> str:
+    """Version-salted digest of one sweep's points, workload names and
+    batches, the stamp :func:`~repro.dse.optimizer.optimize_design` puts
+    on its journal so a resume over another grid is refused.
+    """
+    return short_hash(
+        "sweep",
+        [[p.x, p.n, p.tx, p.ty] for p in points],
+        list(workloads),
+        list(batches),
+    )
+
+
+def check_stamps(path: str | os.PathLike, stamps: dict) -> dict:
     """Refuse a journal whose header stamps disagree with the caller's.
 
     Every :data:`STAMPS` key in both ``stamps`` and the header's meta
     must be equal.  A key the header lacks passes (older journals still
-    resume) unless it is ``required``; a missing or empty file passes.
-    Returns the header's meta.
+    resume); a missing or empty file passes.  Returns the header's meta.
 
     Raises:
         ConfigurationError: naming the journal and the stamp.
@@ -109,19 +120,12 @@ def check_stamps(
         return {}
     meta = (journal_header(path) or {}).get("meta") or {}
     for key in [k for k in STAMPS if k in stamps]:
-        label = key.replace("_", " ")
         found = meta.get(key)
-        if found is None:
-            if key in required:
-                raise ConfigurationError(
-                    f"journal {path} has no {label} in its header; it "
-                    "cannot be verified against this run"
-                )
-        elif found != stamps[key]:
+        if found is not None and found != stamps[key]:
             raise ConfigurationError(
-                f"journal {path} was written for {label} {found}, not "
-                f"{stamps[key]}; resume it with the recipe it was "
-                "written for, or use a fresh journal path"
+                f"journal {path} was written for {key.replace('_', ' ')} "
+                f"{found}, not {stamps[key]}; resume it with the recipe "
+                "it was written for, or use a fresh journal path"
             )
     return meta
 
@@ -384,9 +388,9 @@ def load_journal(
 
     With ``salvage=True`` mid-file damage is *skipped* instead of raised,
     with one :class:`RuntimeWarning` per damaged line naming its line
-    number — the shard merge uses this to harvest every point a
-    hard-killed or disk-damaged shard did finish.  The default strict
-    behavior is unchanged.
+    number — the surrogate's training reader uses this to harvest every
+    point a damaged journal did finish.  The default strict behavior is
+    unchanged.
 
     Raises:
         ConfigurationError: a damaged line is followed by a valid line
@@ -452,8 +456,8 @@ def journal_header(path: str | os.PathLike) -> Optional[dict]:
 
     Only the first non-blank line is examined; a missing, corrupt, or
     non-header first line answers ``None`` rather than raising, so
-    callers can treat "no header" and "unreadable header" uniformly (the
-    shard merge then rejects the journal for lacking a sweep digest).
+    callers can treat "no header" and "unreadable header" uniformly
+    (:func:`check_stamps` then has no stamp to compare).
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -256,7 +256,7 @@ def optimize_design(
         OptimizationError: no candidate satisfies the constraints.
     """
     from repro.dse.engine import run_sweep
-    from repro.dse.shard import sweep_digest
+    from repro.dse.journal import sweep_digest
 
     if not points:
         raise ConfigurationError("no candidate design points given")

@@ -89,9 +89,9 @@ def full_grid() -> list[DesignPoint]:
 
     The raw cross product of tensor-unit lengths, units per core, and
     near-square core grids — no TOPS cap or area/power budget filtering.
-    This is the canonical input of the sharded-sweep drills: its size
-    and order are deterministic, so a manifest built from it is
-    byte-identical across machines.
+    Its size and order are deterministic, so a journaled sweep over it
+    resumes point for point, and a kill-and-resume drill can compare
+    the resumed journal with a fresh sweep.
     """
     return [
         DesignPoint(x, n, tx, ty)

@@ -27,7 +27,6 @@ from repro.dse.surrogate.search import (
     DEFAULT_PARETO_OBJECTIVES,
     EngineEvaluator,
     SearchResult,
-    ShardedEvaluator,
     search_digest,
     surrogate_search,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "FEATURE_SCHEMA_VERSION",
     "MODEL_FORMAT_VERSION",
     "SearchResult",
-    "ShardedEvaluator",
     "SurrogateModel",
     "TARGET_NAMES",
     "feature_digest",

@@ -543,8 +543,8 @@ def fit_from_journals(
     """Train a surrogate from one or more sweep journals.
 
     Journals are read through :func:`repro.dse.journal.load_journal`
-    (torn tails repaired, ``salvage=True`` harvests damaged shards), so
-    every sweep, search, or shard journal the engine ever wrote is a
+    (torn tails repaired, ``salvage=True`` harvests damaged journals),
+    so every sweep or search journal the engine ever wrote is a
     training set.  Duplicate points across journals keep the last row.
 
     Raises:

@@ -15,10 +15,8 @@ The loop interleaves three ingredients:
   expected improvement on a ParEGO-style weighted-Chebyshev
   scalarization whose weights are re-drawn (seeded) every round so
   successive rounds chase different regions of the *exact* front;
-* the exact evaluator — by default the fault-tolerant sweep engine
-  (vector backend, journaled, resumable, abortable), optionally a
-  :class:`ShardedEvaluator` that partitions each candidate batch into a
-  shard manifest for the fleet.
+* the exact evaluator — the fault-tolerant sweep engine (vector
+  backend, journaled, resumable, abortable).
 
 Every exact evaluation is journaled (rows stamped ``source: "exact"``),
 so an interrupted search resumes from its journal and every search
@@ -134,94 +132,6 @@ class EngineEvaluator:
         if self.journal_path:
             self._resume = True  # later rounds append, never truncate
         return report
-
-
-class ShardedEvaluator:
-    """Exact evaluation that partitions each batch across shard workers.
-
-    Every candidate batch becomes one content-addressed
-    :class:`~repro.dse.shard.ShardManifest` written under
-    ``journal_dir`` (``round-<k>-<digest>/manifest.json``), its shards
-    are executed — in-process by default, or by any fleet worker that
-    picks the manifest up — and the shard journals are merged with the
-    verified merge before a single row reaches the search.  Workloads
-    are named (manifest recipes are JSON), mirroring the PR 8 fleet
-    protocol.
-    """
-
-    def __init__(
-        self,
-        journal_dir: "str | os.PathLike",
-        shards: int = 2,
-        *,
-        ctx=None,
-        workload_names: Sequence[str] = (),
-        batches: Sequence = (),
-        backend: str = "auto",
-        jobs: int = 1,
-        should_abort: Optional[Callable[[], bool]] = None,
-        shard_runner: Optional[Callable] = None,
-    ):
-        if shards < 1:
-            raise ConfigurationError(
-                f"shard count must be >= 1, got {shards}"
-            )
-        self.journal_dir = os.fspath(journal_dir)
-        self.shards = shards
-        self.ctx = ctx
-        self.workload_names = tuple(str(n) for n in workload_names)
-        self.batches = tuple(batches)
-        self.backend = backend
-        self.jobs = jobs
-        self.should_abort = should_abort
-        self.shard_runner = shard_runner
-        self.rounds = 0
-        self.manifests: list[str] = []
-
-    def __call__(self, points: Sequence[DesignPoint]) -> SweepReport:
-        from repro.dse.shard import (
-            build_manifest,
-            merge_journals,
-            run_shard,
-        )
-
-        points = list(points)
-        manifest = build_manifest(
-            points,
-            min(self.shards, len(points)),
-            self.workload_names,
-            self.batches,
-        )
-        round_dir = os.path.join(
-            self.journal_dir,
-            f"round-{self.rounds:04d}-{manifest.sweep_digest}",
-        )
-        self.rounds += 1
-        manifest_path = manifest.write(
-            os.path.join(round_dir, "manifest.json")
-        )
-        self.manifests.append(manifest_path)
-        runner = self.shard_runner
-        for index in range(manifest.shard_count):
-            if self.should_abort is not None and self.should_abort():
-                break
-            if runner is not None:
-                runner(manifest, index, round_dir)
-            else:
-                run_shard(
-                    manifest,
-                    index,
-                    round_dir,
-                    ctx=self.ctx,
-                    backend=self.backend,
-                    jobs=self.jobs,
-                    should_abort=self.should_abort,
-                )
-        outcome = merge_journals(manifest, round_dir)
-        return SweepReport(
-            records=outcome.report.records,
-            cancelled=not outcome.complete,
-        )
 
 
 # -- search configuration and result --------------------------------------------
@@ -549,7 +459,6 @@ def surrogate_search(
     warm_journals: Sequence["str | os.PathLike"] = (),
     journal_path: Optional["str | os.PathLike"] = None,
     resume: bool = False,
-    evaluator: Optional[Callable] = None,
     backend: str = "auto",
     jobs: int = 1,
     timeout_s: Optional[float] = None,
@@ -584,8 +493,6 @@ def surrogate_search(
             evaluation is appended (rows stamped ``source: "exact"``)
             and a resumed search re-pays nothing for finished points
             (they are charged against the budget exactly once).
-        evaluator: Custom exact evaluator ``points -> SweepReport``
-            (e.g. :class:`ShardedEvaluator`); defaults to the engine.
         backend / jobs / timeout_s / should_abort: Engine passthrough;
             ``should_abort`` also stops the proposal loop between
             rounds.
@@ -650,29 +557,28 @@ def surrogate_search(
     for path in warm_journals:
         training_entries.extend(load_journal(path))
 
-    if evaluator is None:
-        evaluator = EngineEvaluator(
-            ctx=ctx,
-            workloads=workloads,
-            batches=batches,
-            backend=backend,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            journal_path=journal_path,
-            resume=resume,
-            journal_meta={
-                "search_digest": recipe,
-                "search": {
-                    "kind": "surrogate",
-                    "seed": seed,
-                    "objective": (
-                        objective.value if objective is not None else None
-                    ),
-                    "pareto": [o.value for o in pareto_objectives],
-                },
+    evaluator = EngineEvaluator(
+        ctx=ctx,
+        workloads=workloads,
+        batches=batches,
+        backend=backend,
+        jobs=jobs,
+        timeout_s=timeout_s,
+        journal_path=journal_path,
+        resume=resume,
+        journal_meta={
+            "search_digest": recipe,
+            "search": {
+                "kind": "surrogate",
+                "seed": seed,
+                "objective": (
+                    objective.value if objective is not None else None
+                ),
+                "pareto": [o.value for o in pareto_objectives],
             },
-            should_abort=should_abort,
-        )
+        },
+        should_abort=should_abort,
+    )
 
     if round_size is None:
         round_size = max(2, eval_budget // 8)
@@ -722,10 +628,8 @@ def surrogate_search(
                 fallback_totals.get(reason, 0) + count
             )
         for record in report.records:
-            # Budget accounting by novelty, not by the record's
-            # from_journal flag: a sharded evaluator rehydrates every
-            # row from the merged shard journals, yet each newly
-            # requested point still cost one exact evaluation.
+            # Budget accounting by novelty: each point requested
+            # here and not seen before cost one exact evaluation.
             if (
                 record.point in requested
                 and record.point not in evaluated

@@ -107,31 +107,6 @@ class PointTimeoutError(NeuroMeterError):
     """A design-point evaluation exceeded the engine's per-point timeout."""
 
 
-class ShardLeaseHeldError(NeuroMeterError):
-    """A sweep shard's lease is held by a live worker; claim it elsewhere.
-
-    ``shard`` is the shard index, ``holder`` a human-readable account of
-    the current owner (``pid 1234 on hostname, heartbeat 2.1s ago``).
-    Distinct from :class:`ConfigurationError` because the request is
-    *valid* — the resource is just busy — so coordinators and the serve
-    layer map it to "conflict, try another shard" (HTTP 409) instead of
-    "fix your request".
-    """
-
-    def __init__(
-        self,
-        message: str,
-        shard: "int | None" = None,
-        holder: "str | None" = None,
-    ):
-        self.shard = shard
-        self.holder = holder
-        super().__init__(message)
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.shard, self.holder))
-
-
 class LoadShedError(NeuroMeterError):
     """The serving daemon's admission gate is full; the request was shed.
 

@@ -33,7 +33,6 @@ from repro.integrity.contracts import (
     check_fraction,
     check_nonnegative,
     check_positive,
-    diff_payloads,
     enforce_invariants,
     estimate_contracts,
     probe_mac_energy_monotonicity,
@@ -73,7 +72,6 @@ __all__ = [
     "component_scope",
     "config_digest",
     "current_component_path",
-    "diff_payloads",
     "enforce_invariants",
     "estimate_contracts",
     "fault_injection",

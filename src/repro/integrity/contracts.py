@@ -287,69 +287,6 @@ class Violation:
         return f"[{self.invariant}] {self.path}: {self.message}"
 
 
-def diff_payloads(
-    path: str,
-    first: object,
-    second: object,
-    invariant: str = "payload-divergence",
-    _prefix: str = "",
-) -> "list[Violation]":
-    """Structural diff of two JSON-like payloads as :class:`Violation` rows.
-
-    The sharded-sweep merge uses this when two shard journals carry the
-    *same* design point with *different* results: each leaf-level
-    disagreement becomes one violation naming the diverging key path and
-    both values, so the integrity report pinpoints what disagreed instead
-    of flagging an opaque blob mismatch.  Floats are compared exactly —
-    bit-identical replay is the contract being enforced.
-    """
-    where = f"{path}.{_prefix}" if _prefix else path
-    if isinstance(first, dict) and isinstance(second, dict):
-        violations: list[Violation] = []
-        for key in sorted(set(first) | set(second), key=repr):
-            inner = f"{_prefix}.{key}" if _prefix else str(key)
-            if key not in first or key not in second:
-                missing = "first" if key not in first else "second"
-                violations.append(Violation(
-                    invariant=invariant,
-                    path=f"{path}.{inner}",
-                    message=f"key absent from the {missing} payload",
-                ))
-                continue
-            violations.extend(diff_payloads(
-                path, first[key], second[key], invariant, _prefix=inner
-            ))
-        return violations
-    if isinstance(first, (list, tuple)) and isinstance(
-        second, (list, tuple)
-    ):
-        if len(first) != len(second):
-            return [Violation(
-                invariant=invariant,
-                path=where,
-                message=f"length {len(first)} != {len(second)}",
-            )]
-        violations = []
-        for index, (a, b) in enumerate(zip(first, second)):
-            inner = f"{_prefix}[{index}]" if _prefix else f"[{index}]"
-            violations.extend(diff_payloads(
-                path, a, b, invariant, _prefix=inner
-            ))
-        return violations
-    if type(first) is type(second) and first == second:
-        return []
-    if isinstance(first, (int, float)) and isinstance(
-        second, (int, float)
-    ) and not isinstance(first, bool) and not isinstance(second, bool) \
-            and first == second:
-        return []  # 1 vs 1.0: numerically identical across JSON round-trips
-    return [Violation(
-        invariant=invariant,
-        path=where,
-        message=f"{first!r} != {second!r}",
-    )]
-
-
 def _walk_with_paths(
     node: "Estimate", prefix: str = ""
 ) -> Iterator[tuple[str, "Estimate"]]:

@@ -72,9 +72,9 @@ BATCH_DIRS = frozenset({"batch"})
 #: surface.
 ROBUSTNESS_DIRS = frozenset({"serve", "dse", "batch"})
 
-#: Layers that own durable on-disk state (request journals, shard
-#: leases/manifests, the on-disk cache) and the concurrency machinery
-#: around it — the NM4xx rules audit these.
+#: Layers that own durable on-disk state (sweep and request journals,
+#: the surrogate model file, the on-disk cache) and the concurrency
+#: machinery around it — the NM4xx rules audit these.
 DURABLE_DIRS = frozenset({"serve", "dse", "cache"})
 
 SEVERITY_ERROR = "error"

@@ -291,8 +291,8 @@ _LOCK_EXEMPT_METHODS = frozenset({
 _TRUNCATE_MODES = ("w", "x", "+")
 
 #: Path/name fragments that mark a file as durable state: the journals,
-#: leases, manifests, and checkpoint/log files that crash recovery and
-#: the bit-identical merge depend on.
+#: leases, manifests, and checkpoint/log files that crash recovery
+#: depends on.
 _DURABLE_FILE_TOKENS = (
     "journal", "lease", "manifest", "heartbeat", "checkpoint", "log",
 )

@@ -3,8 +3,8 @@
 The daemon (:mod:`repro.serve`) runs request handlers on one asyncio
 event loop, journals every request with an fsynced append, shares a
 warm cache across threads, and forks worker pools (:mod:`repro.dse`)
-that reclaim crashed shards off lease files.  Each of those mechanisms
-has one classic way to rot:
+whose sweeps resume from their journals after a crash.  Each of those
+mechanisms has one classic way to rot:
 
 * a blocking call sneaks onto the event loop and stalls every in-flight
   request (NM401);
@@ -139,8 +139,8 @@ class NonAtomicDurableWrite(Rule):
     """NM403: a journal/lease/manifest written without crash-safe I/O.
 
     Durable files — anything whose name or context says journal, lease,
-    manifest, heartbeat, checkpoint, or log — are what ``--resume`` and
-    shard reclaim trust after a crash.  A truncating write must follow
+    manifest, heartbeat, checkpoint, or log — are what ``--resume``
+    trusts after a crash.  A truncating write must follow
     the ``write-tmp → flush → fsync → os.replace`` pattern (a crash
     mid-write otherwise leaves a torn file at the real path); an append
     must at least reach ``os.fsync`` (the journal pattern).  The fsync/

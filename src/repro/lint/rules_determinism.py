@@ -108,9 +108,9 @@ class NondeterministicSource(Rule):
 
     This rule honors the inline allow pragma: a line carrying
     ``# lint: allow(NM302): <reason>`` is exempt.  This exists for the
-    rare *legitimate* wall-clock reads in determinism scope — shard
-    lease heartbeats must be comparable across machines, which no
-    monotonic clock can do — and the mandatory reason keeps each
+    rare *legitimate* wall-clock reads in determinism scope — a
+    timestamp that must be comparable across machines, which no
+    monotonic clock can give — and the mandatory reason keeps each
     exemption justified at the call site instead of growing the
     baseline file.
     """

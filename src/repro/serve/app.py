@@ -38,11 +38,7 @@ from repro.arch.component import ModelContext
 from repro.config.presets import DATACENTER_FREQ_GHZ, DATACENTER_TECH_NM
 from repro.dse.engine import SweepReport, WorkerPool, run_sweep
 from repro.dse.space import DesignPoint
-from repro.errors import (
-    ConfigurationError,
-    NeuroMeterError,
-    ShardLeaseHeldError,
-)
+from repro.errors import ConfigurationError, NeuroMeterError
 from repro.serve.backpressure import AdmissionGate
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.http import Request, Response
@@ -164,6 +160,30 @@ def _parse_point(raw: object) -> DesignPoint:
     return DesignPoint(x, n, tx, ty)
 
 
+def _journal_name(name: object, name_max: int) -> str:
+    """A request's ``journal`` field, checked to be a bare filename.
+
+    The name must be a non-empty string other than ``.`` and ``..``,
+    hold no ``/`` or NUL, and encode to at most ``name_max`` bytes, so
+    the journal lands in the journal directory under exactly that name.
+    """
+    try:
+        encoded = os.fsencode(name) if isinstance(name, str) else b""
+    except UnicodeEncodeError:
+        encoded = b""
+    if (
+        encoded in (b"", b".", b"..")
+        or b"/" in encoded
+        or b"\0" in encoded
+        or len(encoded) > name_max
+    ):
+        raise ConfigurationError(
+            f"request field 'journal' must be a bare filename of at most "
+            f"{name_max} bytes, got {name!r}"
+        )
+    return name
+
+
 def _point_json(point: DesignPoint) -> list:
     return [point.x, point.n, point.tx, point.ty]
 
@@ -234,6 +254,14 @@ class ServeApp:
         # each request builds its own.
         self._graphs: dict = {}
         self._lock = threading.Lock()
+        #: Longest journal filename, in bytes, the journal directory's
+        #: filesystem accepts (``None`` without a journal directory).
+        self._journal_name_max: Optional[int] = None
+        if config.journal_dir is not None:
+            os.makedirs(config.journal_dir, exist_ok=True)
+            self._journal_name_max = os.pathconf(
+                config.journal_dir, "PC_NAME_MAX"
+            )
 
     # -- shared hot objects --------------------------------------------------
 
@@ -401,12 +429,6 @@ class ServeApp:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self.executor, fn, *args)
 
-    @staticmethod
-    def _persist_manifest(manifest, manifest_path: str) -> None:
-        """Sync manifest write-if-absent; runs on the executor."""
-        if not os.path.exists(manifest_path):
-            manifest.write(manifest_path)
-
     # -- endpoints -----------------------------------------------------------
 
     async def _handle_estimate(
@@ -562,8 +584,6 @@ class ServeApp:
     async def _handle_sweep(
         self, request: Request, body: dict, abort: threading.Event
     ) -> Response:
-        if body.get("manifest") is not None:
-            return await self._handle_shard_sweep(body, abort)
         raw_points = body.get("points")
         if not isinstance(raw_points, list) or not raw_points:
             raise ConfigurationError(
@@ -581,13 +601,9 @@ class ServeApp:
         if self.config.journal_dir is not None:
             if journal_name is None:
                 journal_name = f"sweep-{next(self._sweep_ids)}.jsonl"
-            if os.path.basename(str(journal_name)) != str(journal_name):
-                raise ConfigurationError(
-                    f"journal name must be a bare filename, "
-                    f"got {journal_name!r}"
-                )
             journal_path = os.path.join(
-                self.config.journal_dir, str(journal_name)
+                self.config.journal_dir,
+                _journal_name(journal_name, self._journal_name_max),
             )
         elif resume or journal_name:
             raise ConfigurationError(
@@ -610,104 +626,6 @@ class ServeApp:
         if journal_name:
             payload["journal"] = journal_name
         return Response(200, payload)
-
-    async def _handle_shard_sweep(
-        self, body: dict, abort: threading.Event
-    ) -> Response:
-        """Claim and execute one shard of a manifested sweep.
-
-        With ``{"manifest": <dict>, "shard": i}`` the request claims
-        exactly shard ``i`` — a live holder answers 409
-        (``ShardLeaseHeldError``), the protocol's "busy, try another
-        shard" status.  Without an explicit shard the daemon claims the
-        first pending or abandoned shard, skipping any that another
-        worker wins concurrently; ``{"shard": null}`` in the answer
-        means nothing was claimable (``complete`` tells the caller
-        whether that is because the sweep is done).
-        """
-        from repro.dse.shard import (
-            DEFAULT_STALE_AFTER_S,
-            ShardManifest,
-            claimable_shards,
-            run_shard,
-            shard_status,
-        )
-
-        if self.config.journal_dir is None:
-            raise ConfigurationError(
-                "shard claiming needs --journal-dir: shard journals and "
-                "leases live next to each other on disk"
-            )
-        manifest = ShardManifest.from_dict(body["manifest"])
-        journal_dir = self.config.journal_dir
-        # Persist the manifest next to the journals so offline tooling
-        # (``neurometer merge``) can verify them without the original.
-        manifest_path = os.path.join(
-            journal_dir, f"manifest-{manifest.sweep_digest}.json"
-        )
-        # manifest.write() is a flush+fsync+replace: executor, not loop.
-        await self._run_blocking(
-            self._persist_manifest, manifest, manifest_path
-        )
-        stale_after_s = _number(
-            body.get("stale_after_s") or DEFAULT_STALE_AFTER_S,
-            "stale_after_s",
-        )
-        ctx = self._context(body)
-        should_abort = self._should_abort(abort)
-
-        def _run(index: int) -> SweepReport:
-            return run_shard(
-                manifest,
-                index,
-                journal_dir,
-                ctx=ctx,
-                backend=self.config.backend,
-                jobs=self.config.jobs,
-                timeout_s=self.config.timeout_s,
-                stale_after_s=stale_after_s,
-                pool=self.pool,
-                should_abort=should_abort,
-            )
-
-        def _payload(index: int, report: SweepReport) -> Response:
-            self.fallback_counts.update(report.fallback_totals())
-            if report.cancelled:
-                return self._cancelled_response(
-                    journal=manifest.journal_name(index)
-                )
-            status = shard_status(manifest, journal_dir, stale_after_s)
-            return Response(200, {
-                "shard": index,
-                "journal": manifest.journal_name(index),
-                "sweep_digest": manifest.sweep_digest,
-                "records": [_record_payload(r) for r in report.records],
-                "summary": report.summary(),
-                "complete": all(
-                    row["state"] == "complete" for row in status
-                ),
-                "cancelled": False,
-            })
-
-        explicit = body.get("shard")
-        if explicit is not None:
-            index = _number(explicit, "shard", int)
-            # A held lease propagates as ShardLeaseHeldError -> 409.
-            report = await self._run_blocking(_run, index)
-            return _payload(index, report)
-        for index in claimable_shards(manifest, journal_dir, stale_after_s):
-            try:
-                report = await self._run_blocking(_run, index)
-            except ShardLeaseHeldError:
-                continue  # lost the race for this shard; try the next
-            return _payload(index, report)
-        status = shard_status(manifest, journal_dir, stale_after_s)
-        return Response(200, {
-            "shard": None,
-            "sweep_digest": manifest.sweep_digest,
-            "complete": all(row["state"] == "complete" for row in status),
-            "status": status,
-        })
 
     async def _handle_optimize(
         self, request: Request, body: dict, abort: threading.Event

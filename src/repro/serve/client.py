@@ -131,21 +131,6 @@ class ServeClient:
         body["points"] = [list(point) for point in points]
         return self.request("POST", "/sweep", body)
 
-    def claim_shard(self, manifest: dict, shard=None, **body) -> dict:
-        """Ask the daemon to claim and run one shard of a manifest.
-
-        ``manifest`` is the ``ShardManifest.to_dict()`` payload.  With
-        ``shard`` set, the daemon runs exactly that shard (a live
-        holder answers HTTP 409 — :class:`RemoteError` with
-        ``error_type == "ShardLeaseHeldError"``); otherwise it claims
-        the first pending or abandoned shard, and ``{"shard": null}``
-        in the answer means nothing was claimable.
-        """
-        body["manifest"] = manifest
-        if shard is not None:
-            body["shard"] = int(shard)
-        return self.request("POST", "/sweep", body)
-
     def optimize(self, **body) -> dict:
         return self.request("POST", "/optimize", body)
 

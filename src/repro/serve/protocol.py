@@ -15,7 +15,6 @@ exception                              code   client reaction
 ``ValidationError``                    422    model integrity: report it
 ``OptimizationError``                  422    no feasible design; relax bounds
 ``PointTimeoutError`` / deadline       504    retry with a larger deadline
-``ShardLeaseHeldError``                409    claim a different shard
 ``LoadShedError``                      503    back off ``Retry-After`` seconds
 ``DrainingError``                      503    the daemon is shutting down
 other ``NeuroMeterError``              400    fix the request
@@ -41,7 +40,6 @@ from repro.errors import (
     NumericalError,
     OptimizationError,
     PointTimeoutError,
-    ShardLeaseHeldError,
     TechnologyError,
     ValidationError,
 )
@@ -62,7 +60,6 @@ _STATUS_MAP = (
     (LoadShedError, 503),
     (DrainingError, 503),
     (PointTimeoutError, 504),
-    (ShardLeaseHeldError, 409),
     ((asyncio.TimeoutError, TimeoutError), 504),
     (INTEGRITY_ERRORS, 422),
     (OptimizationError, 422),
@@ -81,7 +78,6 @@ ERROR_TYPE_STATUS = {
     "ValidationError": 422,
     "OptimizationError": 422,
     "PointTimeoutError": 504,
-    "ShardLeaseHeldError": 409,
     "WorkerCrash": 500,
 }
 

@@ -5,11 +5,11 @@ flush, like a SIGKILL) right after one step of its write — ``write``,
 ``flush`` or ``fsync``; for :func:`repro.dse.journal.atomic_write` also
 just before and just after ``os.replace`` — under each caller: the sweep
 journal (one row, and a batch of rows committed together), the daemon's
-request log, the shard manifest, the shard lease heartbeat and the
-surrogate model save.  A reader must then see the old state or the new
-one, exactly as the step implies, and a reopened log must append a clean
-record.  A batch whose write the OS took only in part leaves the old
-rows and a whole-line prefix of the batch.
+request log and the surrogate model save.  A reader must then see the
+old state or the new one, exactly as the step implies, and a reopened
+log must append a clean record.  A batch whose write the OS took only in
+part leaves the old rows and a whole-line prefix of the batch, and two
+threads rewriting one file through ``atomic_write`` never tear it.
 """
 
 from __future__ import annotations
@@ -17,13 +17,18 @@ from __future__ import annotations
 import builtins
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.dse import journal as journal_module
-from repro.dse.journal import Journal, JournalEntry, load_journal
-from repro.dse.shard import ShardLease, ShardManifest, build_manifest
+from repro.dse.journal import (
+    Journal,
+    JournalEntry,
+    atomic_write,
+    load_journal,
+)
 from repro.dse.space import DesignPoint
 from repro.dse.surrogate.features import TARGET_NAMES
 from repro.dse.surrogate.model import SurrogateModel, fit_surrogate
@@ -222,40 +227,6 @@ class RequestLogCaller:
         _lines_parse(path)
 
 
-class Manifest:
-    pattern = "atomic"
-    old = build_manifest([DesignPoint(4, 1, 1, 1)], 1)
-    new = build_manifest([DesignPoint(8, 1, 1, 1)], 1)
-
-    def setup(self, path):
-        self.old.write(path)
-
-    def write(self, path):
-        self.new.write(path)
-
-    def read(self, path):
-        digest = ShardManifest.load(path).sweep_digest
-        return {
-            self.old.sweep_digest: "old", self.new.sweep_digest: "new",
-        }[digest]
-
-
-class LeaseHeartbeat:
-    pattern = "atomic"
-
-    def setup(self, path):
-        self.lease = ShardLease(path, shard=0).acquire()
-
-    def write(self, path):
-        self.lease.heartbeat(force=True)
-
-    def read(self, path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        # The forked writer stamps its own pid into the new heartbeat.
-        return "old" if payload["pid"] == os.getpid() else "new"
-
-
 class ModelSave:
     pattern = "atomic"
 
@@ -283,8 +254,6 @@ CALLERS = {
     "sweep-journal": SweepJournal,
     "sweep-journal-batch": SweepJournalBatch,
     "request-log": RequestLogCaller,
-    "shard-manifest": Manifest,
-    "lease-heartbeat": LeaseHeartbeat,
     "model-save": ModelSave,
 }
 
@@ -325,3 +294,48 @@ def test_a_batch_torn_mid_write_leaves_a_whole_line_prefix(tmp_path):
         journal.append(_entry(4))
     assert [e.point.x for e in load_journal(path)] == [8, 16, 4]
     _lines_parse(path)
+
+
+def test_concurrent_atomic_writes_never_tear(tmp_path):
+    """Two threads rewrite one file while a third reads it.
+
+    Each write has its own temp file, so neither writer renames the
+    other's file away (``FileNotFoundError``) or publishes it half
+    written: the reader only ever sees a whole payload, and no temp
+    file is left behind.
+    """
+    path = tmp_path / "durable"
+    payloads = (b"a" * 65536, b"b" * 4096)
+    atomic_write(path, payloads[0])
+    errors, reads = [], []
+    writing = threading.Event()
+    writing.set()
+
+    def write(data):
+        try:
+            for _ in range(200):
+                atomic_write(path, data)
+        except Exception as error:
+            errors.append(error)
+
+    def read():
+        while writing.is_set():
+            try:
+                reads.append(path.read_bytes())
+            except OSError as error:
+                errors.append(error)
+
+    writers = [
+        threading.Thread(target=write, args=(data,)) for data in payloads
+    ]
+    reader = threading.Thread(target=read)
+    reader.start()
+    for thread in writers:
+        thread.start()
+    for thread in writers:
+        thread.join()
+    writing.clear()
+    reader.join()
+    assert errors == []
+    assert reads and set(reads) <= set(payloads)
+    assert [p.name for p in tmp_path.iterdir()] == ["durable"]

@@ -237,10 +237,11 @@ def test_empty_and_header_only_journals_resume_to_nothing(tmp_path):
 def test_salvage_skips_midfile_damage_with_per_line_warnings(tmp_path):
     """``salvage=True`` trades strictness for recovery, loudly.
 
-    Mid-file damage still aborts a default load, but the sharded-merge
-    path needs to recover every intact line from a journal whose middle
-    was mangled (e.g. by a filesystem repair).  Each skipped line warns
-    individually so nothing disappears silently.
+    Mid-file damage still aborts a default load, but training a
+    surrogate from journals (``fit_from_journals(salvage=True)``) needs
+    to recover every intact line from a journal whose middle was mangled
+    (e.g. by a filesystem repair).  Each skipped line warns individually
+    so nothing disappears silently.
     """
     path = tmp_path / "sweep.jsonl"
     _write_journal(path, [_entry(8), _entry(16), _entry(32), _entry(64)])

@@ -7,7 +7,6 @@ from repro.dse.journal import load_journal
 from repro.dse.optimizer import Constraints, Objective, _score_fn
 from repro.dse.space import DesignPoint, SpaceAxes, full_grid
 from repro.dse.surrogate.search import (
-    ShardedEvaluator,
     search_digest,
     surrogate_search,
 )
@@ -219,19 +218,6 @@ def test_search_digest_separates_recipes():
     assert search_digest(
         candidates=POOL, workload_names=["resnet"], batches=[1]
     ) != pool_digest
-
-
-def test_sharded_evaluator_counts_budget_by_novelty(tmp_path):
-    evaluator = ShardedEvaluator(tmp_path, shards=2)
-    result = _search(eval_budget=10, evaluator=evaluator)
-    # Merged shard journals rehydrate every row as from_journal; the
-    # budget must still count each *newly requested* point exactly once.
-    assert result.exact_evaluations <= 10
-    assert result.total_rows <= 10
-    assert evaluator.rounds >= 1
-    assert evaluator.manifests
-    for manifest in evaluator.manifests:
-        assert tmp_path in type(tmp_path)(manifest).parents
 
 
 def test_stale_pretrained_model_is_refused():

@@ -151,6 +151,7 @@ def _post(harness, path, body, headers=()):
         ("/estimate", {"point": POINT, "deadline_s": -1}, (), "deadline_s"),
         ("/optimize", {"points": [POINT], "max_area_mm2": "big"}, (),
          "max_area_mm2"),
+        ("/sweep", {"manifest": {"shards": []}}, (), "'points'"),
     ],
     ids=[
         "batches-latency-bound",
@@ -161,6 +162,7 @@ def _post(harness, path, body, headers=()):
         "freq-zero",
         "deadline-negative",
         "optimize-max-area-not-a-number",
+        "sweep-manifest-without-points",
     ],
 )
 def test_bad_request_fields_map_to_400(
@@ -355,6 +357,24 @@ def test_sweep_returns_per_point_records(harness_factory, monkeypatch):
     assert bad["status"] == "failed"
     assert bad["failure"]["error_type"] == "NumericalError"
     assert payload["cancelled"] is False
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["..", ".", "", "x\x00y", "x" * 300, 5, ["a"], "../x", "a/b"],
+    ids=["dotdot", "dot", "empty", "nul", "too-long", "int", "list",
+         "parent", "subdir"],
+)
+def test_malformed_journal_names_answer_400(harness_factory, tmp_path,
+                                            name):
+    journal_dir = tmp_path / "journals"
+    harness = harness_factory(jobs=1, journal_dir=str(journal_dir))
+    with pytest.raises(RemoteError) as excinfo:
+        harness.client().sweep([POINT], journal=name)
+    assert excinfo.value.status == 400
+    assert "'journal'" in excinfo.value.payload["message"]
+    assert os.listdir(journal_dir) == []
+    assert os.listdir(tmp_path) == ["journals"]
 
 
 def test_drain_checkpoints_inflight_sweep_for_resume(
